@@ -690,7 +690,7 @@ let () =
      %.3f us/tuple\n"
     cal_mask cal_retest cal_full;
   Printf.printf "  checked-in: %s\n"
-    (Format.asprintf "%a" Dynfo_analysis.Calibration.pp_json default);
+    (Json.to_string (Dynfo_analysis.Calibration.to_json default));
 
   (* E25: persistent incremental frontiers — warm per-step update
      latency of tuple vs bulk vs delta, sized per program so the
@@ -1270,7 +1270,7 @@ let () =
          {\"setup_us\": %.2f, \"retest_us\": %.2f, \"full_tuple_us\": \
          %.3f}, \"checked_in\": %s},\n"
         cal_mask cal_retest cal_full
-        (Format.asprintf "%a" Dynfo_analysis.Calibration.pp_json default);
+        (Json.to_string (Dynfo_analysis.Calibration.to_json default));
       let rows = List.rev !e24_rows in
       List.iteri
         (fun i (name, size, coalesce, r, stats) ->

@@ -21,6 +21,19 @@ let entry_conv =
   let print ppf (e : Registry.entry) = Format.pp_print_string ppf e.name in
   Arg.conv (parse, print)
 
+let print_json v = Format.printf "%s@." (Json.to_string v)
+
+(* The analyzer matrices as text or one JSON array; under [strict], every
+   program failing [bad] is named on stderr and the command exits 1. *)
+let print_matrices ~json ~strict ~to_json ~pp ~program ~bad ~complaint
+    matrices =
+  if json then print_json (Json.List (List.map to_json matrices))
+  else List.iter (fun m -> Format.printf "%a@." pp m) matrices;
+  let failing = if strict then List.filter bad matrices else [] in
+  List.iter (fun m -> Format.eprintf "%s: %s@." (program m) complaint) failing;
+  if failing <> [] then exit 1;
+  `Ok ()
+
 let problem_arg =
   Arg.(
     required
@@ -270,79 +283,36 @@ let analyze_cmd =
     | None -> `Error (true, "name a PROBLEM or pass --all")
     | Some entries when commute ->
         let module C = Dynfo_analysis.Commute in
-        let matrices =
-          List.map
-            (fun (e : Registry.entry) -> C.matrix_of e.program)
-            entries
+        let law_bad (l : Dynfo_analysis.Mc.law) =
+          l.law_holds && l.law_checks = 0
         in
-        (if json then
-           Format.printf "[%a]@."
-             (Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@\n ")
-                C.pp_json)
-             matrices
-         else List.iter (fun m -> Format.printf "%a@." C.pp m) matrices);
-        if strict then begin
-          let law_bad (l : C.law) = l.law_holds && l.law_checks = 0 in
-          let unconfirmed (m : C.matrix) =
-            List.exists
-              (fun (c : C.cell) ->
-                c.c_verdict = C.Commute
-                && (c.c_checks = 0 || c.c_domain = None))
-              m.m_cells
-            || List.exists
-                 (fun (r : C.op_report) ->
-                   law_bad r.or_idempotent || law_bad r.or_nop)
-                 m.m_ops
-          in
-          let bad = List.filter unconfirmed matrices in
-          if bad <> [] then begin
-            List.iter
-              (fun (m : C.matrix) ->
-                Format.eprintf
-                  "%s: Commute verdict or law without model-checker \
-                   confirmation@."
-                  m.m_program)
-              bad;
-            exit 1
-          end
-        end;
-        `Ok ()
+        let unconfirmed (m : C.matrix) =
+          List.exists
+            (fun (c : C.cell) ->
+              c.c_verdict = C.Commute && (c.c_checks = 0 || c.c_domain = None))
+            m.m_cells
+          || List.exists
+               (fun (r : C.op_report) ->
+                 law_bad r.or_idempotent || law_bad r.or_nop)
+               m.m_ops
+        in
+        print_matrices ~json ~strict ~to_json:C.to_json ~pp:C.pp
+          ~program:(fun (m : C.matrix) -> m.m_program)
+          ~bad:unconfirmed
+          ~complaint:"Commute verdict or law without model-checker confirmation"
+          (List.map (fun (e : Registry.entry) -> C.matrix_of e.program) entries)
     | Some entries when defchange ->
         let module D = Dynfo_analysis.Defchange in
-        let matrices =
-          List.map
-            (fun (e : Registry.entry) ->
-              if mc_size = 4 then D.matrix_of e.program
-              else D.analyze ~max_size:mc_size e.program)
-            entries
-        in
-        (if json then
-           Format.printf "[%a]@."
-             (Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@\n ")
-                D.pp_json)
-             matrices
-         else List.iter (fun m -> Format.printf "%a@." D.pp m) matrices);
-        if strict then begin
-          let unknown (m : D.matrix) =
-            List.exists
-              (fun (c : D.cell) -> c.d_verdict = D.Unknown)
-              m.m_cells
-          in
-          let bad = List.filter unknown matrices in
-          if bad <> [] then begin
-            List.iter
-              (fun (m : D.matrix) ->
-                Format.eprintf
-                  "%s: unverified (Unknown) batch verdict — treated as \
-                   unsafe@."
-                  m.m_program)
-              bad;
-            exit 1
-          end
-        end;
-        `Ok ()
+        print_matrices ~json ~strict ~to_json:D.to_json ~pp:D.pp
+          ~program:(fun (m : D.matrix) -> m.m_program)
+          ~bad:(fun m ->
+            List.exists (fun (c : D.cell) -> c.d_verdict = D.Unknown) m.m_cells)
+          ~complaint:"unverified (Unknown) batch verdict — treated as unsafe"
+          (List.map
+             (fun (e : Registry.entry) ->
+               if mc_size = 4 then D.matrix_of e.program
+               else D.analyze ~max_size:mc_size e.program)
+             entries)
     | Some entries when support ->
         List.iter
           (fun (e : Registry.entry) ->
@@ -369,20 +339,13 @@ let analyze_cmd =
             entries
         in
         (if json then
-           Format.printf "[%a]@."
-             (Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@\n ")
-                (fun ppf ((e : Registry.entry), a) ->
-                  match size with
-                  | None -> A.pp_json ppf a
-                  | Some n ->
-                      (* splice the repr plan into the advice object *)
-                      let s = Format.asprintf "%a" A.pp_json a in
-                      Format.fprintf ppf "%s, \"repr_plan\": %a}"
-                        (String.sub s 0 (String.length s - 1))
-                        (A.pp_repr_plan_json ~size:n)
-                        (A.repr_plan e.program ~size:n)))
-             advices
+           print_json
+             (Json.List
+                (List.map
+                   (fun ((e : Registry.entry), a) ->
+                     let plan n = (n, A.repr_plan e.program ~size:n) in
+                     A.to_json ?repr_plan:(Option.map plan size) a)
+                   advices))
          else
            List.iter
              (fun ((e : Registry.entry), a) ->
@@ -402,11 +365,8 @@ let analyze_cmd =
             entries
         in
         (if json then
-           Format.printf "[%a]@."
-             (Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@\n ")
-                Dynfo_analysis.Report.pp_json)
-             reports
+           print_json
+             (Json.List (List.map Dynfo_analysis.Report.to_json reports))
          else
            match reports with
            | [ r ] when not all -> Format.printf "%a" Dynfo_analysis.Report.pp r
@@ -802,26 +762,30 @@ let optimize_cmd =
             entries
         in
         if json then
-          Format.printf "[%a]@."
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@\n ")
-               (fun ppf ((e : Registry.entry), ((rep : R.program_report), verified)) ->
-                 Format.fprintf ppf
-                   "{\"version\": %d, \"program\": \"%s\", \
-                    \"work_before\": %d, \"work_after\": %d, \
-                    \"size_before\": %d, \"size_after\": %d, \
-                    \"rewrites\": %d, \"cse_temps\": %d, \"rejections\": \
-                    %d, \"checks\": %d, \"exhaustive_upto\": %d, \
-                    \"verified\": %b}"
-                   Dynfo_analysis.Report.version e.name rep.R.work_before
-                   rep.R.work_after rep.R.size_before rep.R.size_after
-                   (List.length rep.R.changes)
-                   (List.length
-                      (List.concat_map (fun (_, ts) -> ts) rep.R.cse_temps))
-                   (List.length rep.R.rejections)
-                   rep.R.stats.R.checks rep.R.stats.R.exhaustive_upto
-                   verified))
-            results;
+          print_json
+            (Json.List
+               (List.map
+                  (fun ((e : Registry.entry), (rep, verified)) ->
+                    Json.Obj
+                      [
+                        ("version", Json.Int Dynfo_analysis.Report.version);
+                        ("program", Json.Str e.name);
+                        ("work_before", Json.Int rep.R.work_before);
+                        ("work_after", Json.Int rep.R.work_after);
+                        ("size_before", Json.Int rep.R.size_before);
+                        ("size_after", Json.Int rep.R.size_after);
+                        ("rewrites", Json.Int (List.length rep.R.changes));
+                        ( "cse_temps",
+                          Json.Int
+                            (List.length (List.concat_map snd rep.R.cse_temps))
+                        );
+                        ("rejections", Json.Int (List.length rep.R.rejections));
+                        ("checks", Json.Int rep.R.stats.R.checks);
+                        ( "exhaustive_upto",
+                          Json.Int rep.R.stats.R.exhaustive_upto );
+                        ("verified", Json.Bool verified);
+                      ])
+                  results));
         let bad =
           List.filter
             (fun (_, ((rep : R.program_report), verified)) ->

@@ -41,13 +41,6 @@ let atom_counts (p : Program.t) =
   List.iter (fun (_, _, body) -> count body) p.queries;
   (!atoms, !bits)
 
-let pow b e =
-  let r = ref 1 in
-  for _ = 1 to e do
-    r := !r * b
-  done;
-  !r
-
 (* Static per-step estimates for the worst (largest tuple-space) update
    block at a concrete universe size: framed-rule count, frontier upper
    bound in tuples (pinned anchorless slabs are single cells, anchored
@@ -60,7 +53,7 @@ let delta_estimates (p : Program.t) ~size =
     List.fold_left
       (fun (rules, frontier, space) (rp : rule_plan) ->
         let arity = List.length rp.rp_vars in
-        let sp = pow size arity in
+        let sp = Mc.pow size arity in
         let est_sup = function
           | Top -> sp
           | Slabs slabs ->
@@ -70,7 +63,7 @@ let delta_estimates (p : Program.t) ~size =
                   +
                   match s.s_anchor with
                   | Some _ -> size
-                  | None -> pow size (arity - List.length s.s_pins))
+                  | None -> Mc.pow size (arity - List.length s.s_pins))
                 0 slabs
         in
         match rp.rp_frame with
@@ -151,19 +144,25 @@ let pp_repr_plan ~size ppf plan =
          else string_of_int c.rc_words))
     plan
 
-let pp_repr_plan_json ~size ppf plan =
-  Format.fprintf ppf "{\"size\": %d, \"relations\": [%a]}" size
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf c ->
-         Format.fprintf ppf
-           "{\"name\": \"%s\", \"arity\": %d, \"dense_words\": %s, \
-            \"repr\": \"%s\"}"
-           c.rc_name c.rc_arity
-           (if c.rc_words = max_int then "null"
-            else string_of_int c.rc_words)
-           (repr_string c.rc_repr)))
-    plan
+let repr_plan_to_json ~size plan =
+  Json.(
+    Obj
+      [
+        ("size", Int size);
+        ( "relations",
+          List
+            (List.map
+               (fun c ->
+                 Obj
+                   [
+                     ("name", Str c.rc_name);
+                     ("arity", Int c.rc_arity);
+                     ( "dense_words",
+                       if c.rc_words = max_int then Null else Int c.rc_words );
+                     ("repr", Str (repr_string c.rc_repr));
+                   ])
+               plan) );
+      ])
 
 let of_program ?(par_cutoff = default_par_cutoff) ?size
     ?(calibration = Calibration.default) (p : Program.t) =
@@ -284,12 +283,21 @@ let pp ppf a =
   Format.fprintf ppf "%s: --backend %s, parallel cutoff %d — %s" a.program
     (backend_string a.backend) a.par_cutoff a.reason
 
-let pp_json ppf a =
-  Format.fprintf ppf
-    "{\"program\": \"%s\", \"backend\": \"%s\", \"fallback\": \"%s\", \
-     \"par_cutoff\": %d, \"max_work_exponent\": %d, \"bit_fraction\": \
-     %.3f, \"reason\": \"%s\"}"
-    a.program
-    (backend_string a.backend)
-    (backend_string (a.fallback :> [ `Tuple | `Bulk | `Delta ]))
-    a.par_cutoff a.max_work_exponent a.bit_fraction a.reason
+let to_json ?repr_plan a =
+  Json.(
+    Obj
+      ([
+         ("program", Str a.program);
+         ("backend", Str (backend_string a.backend));
+         ( "fallback",
+           Str (backend_string (a.fallback :> [ `Tuple | `Bulk | `Delta ])) );
+         ("par_cutoff", Int a.par_cutoff);
+         ("max_work_exponent", Int a.max_work_exponent);
+         ( "bit_fraction",
+           Float (Float.round (a.bit_fraction *. 1000.) /. 1000.) );
+         ("reason", Str a.reason);
+       ]
+      @
+      match repr_plan with
+      | Some (size, plan) -> [ ("repr_plan", repr_plan_to_json ~size plan) ]
+      | None -> []))

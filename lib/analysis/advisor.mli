@@ -85,8 +85,6 @@ val repr_plan : Dynfo.Program.t -> size:int -> repr_choice list
     choice. *)
 
 val pp_repr_plan : size:int -> Format.formatter -> repr_choice list -> unit
-val pp_repr_plan_json :
-  size:int -> Format.formatter -> repr_choice list -> unit
 
 val choose : Dynfo.Program.t -> [ `Tuple | `Bulk | `Delta ]
 (** [(of_program p).backend]. *)
@@ -102,4 +100,6 @@ val install : unit -> unit
 
 val backend_string : [ `Tuple | `Bulk | `Delta ] -> string
 val pp : Format.formatter -> advice -> unit
-val pp_json : Format.formatter -> advice -> unit
+val to_json : ?repr_plan:int * repr_choice list -> advice -> Dynfo.Json.t
+(** [bit_fraction] is rounded to 3 decimals; [repr_plan] (a size and
+    its {!repr_plan}) adds a ["repr_plan"] field. *)

@@ -39,7 +39,11 @@ let break_even ?(c = default) ~rules ~space () =
   -. (c.setup_us *. float_of_int rules))
   /. c.retest_us
 
-let pp_json ppf c =
-  Format.fprintf ppf
-    "{\"setup_us\": %.3f, \"retest_us\": %.3f, \"full_tuple_us\": %.3f}"
-    c.setup_us c.retest_us c.full_tuple_us
+let to_json c =
+  Dynfo.Json.(
+    Obj
+      [
+        ("setup_us", Float c.setup_us);
+        ("retest_us", Float c.retest_us);
+        ("full_tuple_us", Float c.full_tuple_us);
+      ])

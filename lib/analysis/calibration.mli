@@ -24,4 +24,4 @@ val break_even : ?c:t -> rules:int -> space:int -> unit -> float
     framed rules over a combined tuple space of [space]; negative when
     the fixed overhead alone exceeds the full recompute. *)
 
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Dynfo.Json.t

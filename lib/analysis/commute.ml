@@ -6,15 +6,14 @@ open Dynfo
    trusted. Three layers produce a *candidate* verdict per pair of
    update operations — (1) syntactic independence on the Dataflow
    read/write sets, (2) disjoint fully-pinned frames under the
-   distinct-argument side condition — and layer (3), a bounded
-   model-checking harness in the style of Rewrite's verifier, is the
-   only thing that can promote a candidate to [Commute]: exhaustive over
-   synthetic structures while the budget lasts, seeded sampling beyond,
-   and a reachable-state fallback (random request prefixes from the
-   initial state) for laws that hold on every state the serving layer
-   can actually be in but not on arbitrary auxiliary contents. Anything
-   unconfirmed degrades to [Unknown], which every consumer treats as
-   [Conflict]. *)
+   distinct-argument side condition — and layer (3), the bounded model
+   checker [Mc], is the only thing that can promote a candidate to
+   [Commute]: exhaustive over synthetic structures while the budget
+   lasts, seeded sampling beyond, and a reachable-state fallback (random
+   request prefixes from the initial state) for laws that hold on every
+   state the serving layer can actually be in but not on arbitrary
+   auxiliary contents. Anything unconfirmed degrades to [Unknown], which
+   every consumer treats as [Conflict]. *)
 
 (* --- operations ------------------------------------------------------------ *)
 
@@ -212,217 +211,7 @@ let frame_independent p o1 o2 (w1, w2) =
   && disjoint w1 (external_reads p o2 shared)
   && disjoint w2 (external_reads p o1 shared)
 
-(* --- the bounded model checker (layer 3) ------------------------------------ *)
-
-type domain = Synthetic | Reachable
-
-type law = { law_holds : bool; law_domain : domain; law_checks : int }
-
-let pow b e =
-  let r = ref 1 in
-  for _ = 1 to e do
-    r := !r * b
-  done;
-  !r
-
-let decode_tuple ~size ~arity idx =
-  let t = Array.make arity 0 in
-  let rest = ref idx in
-  for i = 0 to arity - 1 do
-    t.(i) <- !rest mod size;
-    rest := !rest / size
-  done;
-  t
-
-type mc_result = {
-  mc_checks : int;
-  mc_exhaustive_upto : int;
-  mc_cex : (int * int list list) option;  (** size, offending arguments *)
-}
-
-(* Drive a property over synthetic structures — the full combined
-   vocabulary with arbitrary auxiliary contents, a strict superset of
-   the reachable states, exactly as Rewrite.verify_block samples them:
-   exhaustive bit-pattern enumeration while [bits] and the budget allow,
-   seeded random densities beyond. [arities] describes the argument
-   tuples (one per request involved); [pre] filters argument/state
-   combinations the property does not speak about (the side
-   conditions). *)
-let run_synthetic ~max_size ~budget ~samples (p : Program.t) ~arities ~pre
-    ~check =
-  let vocab = Program.vocab p in
-  let rels =
-    List.map (fun (s : Vocab.sym) -> (s.name, s.arity)) (Vocab.relations vocab)
-  in
-  let consts = Vocab.constants vocab in
-  let checks = ref 0 in
-  let cex = ref None in
-  let test size st argss =
-    if !cex = None && pre st argss then begin
-      incr checks;
-      if not (check st argss) then cex := Some (size, argss)
-    end
-  in
-  let all_args size =
-    (* cartesian product of the argument tuple spaces *)
-    List.fold_left
-      (fun acc arity ->
-        List.concat_map
-          (fun prefix ->
-            List.init (pow size arity) (fun i ->
-                prefix @ [ Array.to_list (decode_tuple ~size ~arity i) ]))
-          acc)
-      [ [] ] arities
-  in
-  let exhaustive_upto = ref 0 in
-  for size = 1 to max_size do
-    if !cex = None then begin
-      let bits = List.fold_left (fun acc (_, a) -> acc + pow size a) 0 rels in
-      let args = all_args size in
-      let combos = pow size (List.length consts) * List.length args in
-      if bits <= 16 && (1 lsl bits) * combos <= budget then begin
-        for pattern = 0 to (1 lsl bits) - 1 do
-          let base = ref (Structure.create ~size vocab) in
-          let bit = ref 0 in
-          List.iter
-            (fun (name, arity) ->
-              for i = 0 to pow size arity - 1 do
-                if (pattern lsr !bit) land 1 = 1 then
-                  base :=
-                    Structure.add_tuple !base name (decode_tuple ~size ~arity i);
-                incr bit
-              done)
-            rels;
-          for ci = 0 to pow size (List.length consts) - 1 do
-            let rest = ref ci in
-            let st =
-              List.fold_left
-                (fun st c ->
-                  let v = !rest mod size in
-                  rest := !rest / size;
-                  Structure.with_const st c v)
-                !base consts
-            in
-            List.iter (test size st) args
-          done
-        done;
-        if !exhaustive_upto = size - 1 then exhaustive_upto := size
-      end
-      else begin
-        let rng = Random.State.make [| 0xC033; size; bits |] in
-        for _ = 1 to samples do
-          let st = ref (Structure.create ~size vocab) in
-          List.iter
-            (fun (name, arity) ->
-              let density =
-                match Random.State.int rng 3 with
-                | 0 -> 0.15
-                | 1 -> 0.5
-                | _ -> 0.85
-              in
-              for i = 0 to pow size arity - 1 do
-                if Random.State.float rng 1.0 < density then
-                  st :=
-                    Structure.add_tuple !st name (decode_tuple ~size ~arity i)
-              done)
-            rels;
-          let st =
-            List.fold_left
-              (fun st c -> Structure.with_const st c (Random.State.int rng size))
-              !st consts
-          in
-          (* several argument draws per sampled structure *)
-          for _ = 1 to 4 do
-            let argss =
-              List.map
-                (fun arity ->
-                  List.init arity (fun _ -> Random.State.int rng size))
-                arities
-            in
-            test size st argss
-          done
-        done
-      end
-    end
-  done;
-  { mc_checks = !checks; mc_exhaustive_upto = !exhaustive_upto; mc_cex = !cex }
-
-(* Reachable states: random request prefixes from the initial state,
-   seeded. This is the domain the serving layer actually inhabits —
-   sessions start at f_n(empty) and apply valid requests — so laws that
-   a synthetic structure with inconsistent auxiliaries refutes can still
-   be sound for serving when they survive here. *)
-let workload_spec (p : Program.t) =
-  let rels =
-    List.map
-      (fun (s : Vocab.sym) -> (s.name, s.arity))
-      (Vocab.relations p.input_vocab)
-  in
-  Workload.spec ~consts:(Vocab.constants p.input_vocab) rels
-
-let reachable_states ~max_size (p : Program.t) =
-  let spec = workload_spec p in
-  List.concat_map
-    (fun size ->
-      List.concat_map
-        (fun seed ->
-          let reqs =
-            Workload.generate
-              (Random.State.make [| 0xBEA7; size; seed |])
-              ~size ~length:32 spec
-          in
-          let prefixes = [ 0; 6; 16; 32 ] in
-          let _, _, states =
-            List.fold_left
-              (fun (s, i, acc) req ->
-                let s = Runner.step s req in
-                let i = i + 1 in
-                (s, i, if List.mem i prefixes then (size, s) :: acc else acc))
-              (Runner.init p ~size, 0, [ (size, Runner.init p ~size) ])
-              reqs
-          in
-          states)
-        [ 1; 2; 3 ])
-    (List.init max_size (fun i -> i + 1))
-
-let run_reachable states ~arities ~pre ~check =
-  let checks = ref 0 in
-  let cex = ref None in
-  let rng = Random.State.make [| 0x5EED |] in
-  List.iter
-    (fun (size, s) ->
-      if !cex = None then begin
-        let st = Runner.structure s in
-        let total = pow size (List.fold_left ( + ) 0 arities) in
-        let argss_list =
-          if total <= 128 then
-            List.fold_left
-              (fun acc arity ->
-                List.concat_map
-                  (fun prefix ->
-                    List.init (pow size arity) (fun i ->
-                        prefix @ [ Array.to_list (decode_tuple ~size ~arity i) ]))
-                  acc)
-              [ [] ] arities
-          else
-            List.init 64 (fun _ ->
-                List.map
-                  (fun arity ->
-                    List.init arity (fun _ -> Random.State.int rng size))
-                  arities)
-        in
-        List.iter
-          (fun argss ->
-            if !cex = None && pre st argss then begin
-              incr checks;
-              if not (check st argss) then cex := Some (size, argss)
-            end)
-          argss_list
-      end)
-    states;
-  { mc_checks = !checks; mc_exhaustive_upto = 0; mc_cex = !cex }
-
-(* --- the properties --------------------------------------------------------- *)
+(* --- the properties (layer 3, checked by Mc) ------------------------------- *)
 
 let step_t = Runner.step ~backend:`Tuple
 let step_b = Runner.step ~backend:`Bulk
@@ -493,7 +282,7 @@ type cell = {
   c_right : op;
   c_verdict : verdict;
   c_source : source;
-  c_domain : domain option;  (** [Some] exactly on [Commute] *)
+  c_domain : Mc.domain option;  (** [Some] exactly on [Commute] *)
   c_checks : int;
   c_exhaustive_upto : int;
   c_reason : string;
@@ -503,8 +292,8 @@ type op_report = {
   or_op : op;
   or_writes : string list;
   or_reads : string list;
-  or_idempotent : law;
-  or_nop : law;
+  or_idempotent : Mc.law;
+  or_nop : Mc.law;
 }
 
 type matrix = {
@@ -513,43 +302,13 @@ type matrix = {
   m_cells : cell list;  (** unordered pairs, diagonal included *)
 }
 
-let pp_args argss =
-  String.concat "; "
-    (List.map
-       (fun a -> "(" ^ String.concat "," (List.map string_of_int a) ^ ")")
-       argss)
-
-(* Phase A (synthetic, strongest) then phase B (reachable, the domain
-   serving actually needs) — a law is only believed when one of them
-   confirms it with at least one check. *)
-let verify_law ~max_size ~budget ~samples p states ~arities ~pre ~check =
-  let a = run_synthetic ~max_size ~budget ~samples p ~arities ~pre ~check in
-  match a.mc_cex with
-  | None when a.mc_checks > 0 ->
-      (Some Synthetic, a, { law_holds = true; law_domain = Synthetic; law_checks = a.mc_checks })
-  | _ -> (
-      let b = run_reachable (Lazy.force states) ~arities ~pre ~check in
-      match b.mc_cex with
-      | None when b.mc_checks > 0 ->
-          ( Some Reachable,
-            { b with mc_exhaustive_upto = a.mc_exhaustive_upto },
-            { law_holds = true; law_domain = Reachable; law_checks = b.mc_checks } )
-      | _ ->
-          let r =
-            if b.mc_cex <> None then b
-            else { a with mc_checks = a.mc_checks + b.mc_checks }
-          in
-          (None, r, { law_holds = false; law_domain = Synthetic; law_checks = r.mc_checks }))
-
 let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
     (p : Program.t) =
   let ops = ops_of p in
-  let states = lazy (reachable_states ~max_size p) in
   let rw = List.map (fun o -> (o, (writes_of p o, reads_of p o))) ops in
-  let law_of ~arities ~pre ~check =
-    let _, _, law =
-      verify_law ~max_size ~budget ~samples p states ~arities ~pre ~check
-    in
+  let verify = Mc.verify_law ~seed:0xC033 ~max_size ~budget ~samples in
+  let law_of ~arity ?pre check =
+    let _, _, law = verify ?pre p ~shapes:[ [ arity ] ] ~check in
     law
   in
   let op_reports =
@@ -560,13 +319,8 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
           or_op = o;
           or_writes = w;
           or_reads = r;
-          or_idempotent =
-            law_of ~arities:[ o.op_arity ]
-              ~pre:(fun _ _ -> true)
-              ~check:(idempotent_check p o);
-          or_nop =
-            law_of ~arities:[ o.op_arity ] ~pre:(nop_pre o)
-              ~check:(nop_check p o);
+          or_idempotent = law_of ~arity:o.op_arity (idempotent_check p o);
+          or_nop = law_of ~arity:o.op_arity ~pre:(nop_pre o) (nop_check p o);
         })
       ops
   in
@@ -593,10 +347,9 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
           else if frame_independent p o1 o2 (w1, w2) then Frames
           else Mc_only
         in
-        let domain, mc, _ =
-          verify_law ~max_size ~budget ~samples p states
-            ~arities:[ o1.op_arity; o2.op_arity ]
-            ~pre:(commute_pre o1 o2)
+        let domain, (mc : Mc.result), _ =
+          verify ~pre:(commute_pre o1 o2) p
+            ~shapes:[ [ o1.op_arity; o2.op_arity ] ]
             ~check:(commute_check p o1 o2)
         in
         let static_reason =
@@ -607,21 +360,19 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
         in
         let verdict, reason =
           match (domain, mc.mc_cex) with
-          | Some Synthetic, _ ->
+          | Some Mc.Synthetic, _ ->
               ( Commute,
-                Printf.sprintf
-                  "%s; confirmed on synthetic structures (%d checks, \
-                   exhaustive to n=%d)"
-                  static_reason mc.mc_checks mc.mc_exhaustive_upto )
-          | Some Reachable, _ ->
+                Printf.sprintf "%s; confirmed %s" static_reason
+                  (Mc.domain_desc domain mc) )
+          | Some Mc.Reachable, _ ->
               ( Commute,
                 Printf.sprintf
                   "%s; synthetic counterexample has unreachable auxiliaries \
-                   — confirmed on reachable states only (%d checks)"
-                  static_reason mc.mc_checks )
+                   — confirmed %s"
+                  static_reason (Mc.domain_desc domain mc) )
           | None, Some (n, argss) ->
               ( Conflict,
-                Printf.sprintf "refuted at n=%d, args %s" n (pp_args argss) )
+                Printf.sprintf "refuted at n=%d, args %s" n (Mc.pp_args argss) )
           | None, None ->
               (Unknown, "no state/argument combination admissible — unverified")
         in
@@ -659,23 +410,7 @@ let op_report m o =
 
 (* --- memoized analysis ------------------------------------------------------ *)
 
-let cache_limit = 32
-let cache : (Program.t * matrix) list ref = ref []
-let cache_lock = Mutex.create ()
-
-let matrix_of (p : Program.t) =
-  Mutex.protect cache_lock (fun () ->
-      match List.find_opt (fun (q, _) -> q == p) !cache with
-      | Some (_, m) -> m
-      | None ->
-          let m = analyze p in
-          let rest =
-            if List.length !cache >= cache_limit then
-              List.filteri (fun i _ -> i < cache_limit - 1) !cache
-            else !cache
-          in
-          cache := (p, m) :: rest;
-          m)
+let matrix_of = Mc.memo ( == ) (fun p -> analyze p)
 
 (* --- the runner oracle ------------------------------------------------------ *)
 
@@ -734,7 +469,7 @@ let oracle_of (p : Program.t) : Runner.commute_oracle =
     is_singleton r
     &&
     match op_report m (op_of_request p r) with
-    | Some rep -> (pick rep).law_holds
+    | Some rep -> (pick rep).Mc.law_holds
     | None -> false
   in
   {
@@ -777,17 +512,6 @@ let source_string = function
   | Frames -> "frames"
   | Mc_only -> "mc-only"
 
-let domain_string = function
-  | Synthetic -> "synthetic"
-  | Reachable -> "reachable"
-
-let pp_law ppf (what, l) =
-  if l.law_holds then
-    Format.fprintf ppf "%s (%s, %d checks)" what
-      (domain_string l.law_domain)
-      l.law_checks
-  else Format.fprintf ppf "not %s" what
-
 let pp ppf m =
   let names = List.map (fun r -> op_name r.or_op) m.m_ops in
   let width =
@@ -813,8 +537,8 @@ let pp ppf m =
     (fun r ->
       Format.fprintf ppf "  %s: writes %s; %a; %a@." (op_name r.or_op)
         (String.concat "," r.or_writes)
-        pp_law ("idempotent", r.or_idempotent)
-        pp_law ("no-op on redundant requests", r.or_nop))
+        Mc.pp_law ("idempotent", r.or_idempotent)
+        Mc.pp_law ("no-op on redundant requests", r.or_nop))
     m.m_ops;
   List.iter
     (fun c ->
@@ -825,50 +549,43 @@ let pp ppf m =
         c.c_reason)
     m.m_cells
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let pp_strings ppf xs =
-  Format.fprintf ppf "[%s]"
-    (String.concat ", " (List.map (fun s -> "\"" ^ json_escape s ^ "\"") xs))
-
-let pp_law_json ppf l =
-  Format.fprintf ppf
-    "{\"holds\": %b, \"domain\": \"%s\", \"checks\": %d}" l.law_holds
-    (domain_string l.law_domain)
-    l.law_checks
-
-let pp_json ppf m =
-  let sep ppf () = Format.pp_print_string ppf ", " in
-  Format.fprintf ppf
-    "{\"version\": %d, \"program\": \"%s\", \"ops\": [%a], \"cells\": [%a]}"
-    Report.version m.m_program
-    (Format.pp_print_list ~pp_sep:sep (fun ppf r ->
-         Format.fprintf ppf
-           "{\"op\": \"%s\", \"arity\": %d, \"writes\": %a, \"reads\": %a, \
-            \"idempotent\": %a, \"nop\": %a}"
-           (op_name r.or_op) r.or_op.op_arity pp_strings r.or_writes
-           pp_strings r.or_reads pp_law_json r.or_idempotent pp_law_json
-           r.or_nop))
-    m.m_ops
-    (Format.pp_print_list ~pp_sep:sep (fun ppf c ->
-         Format.fprintf ppf
-           "{\"left\": \"%s\", \"right\": \"%s\", \"verdict\": \"%s\", \
-            \"source\": \"%s\", \"domain\": %s, \"checks\": %d, \
-            \"exhaustive_upto\": %d, \"reason\": \"%s\"}"
-           (op_name c.c_left) (op_name c.c_right)
-           (verdict_string c.c_verdict)
-           (source_string c.c_source)
-           (match c.c_domain with
-           | Some d -> "\"" ^ domain_string d ^ "\""
-           | None -> "null")
-           c.c_checks c.c_exhaustive_upto (json_escape c.c_reason)))
-    m.m_cells
+let to_json m =
+  let strs xs = Json.List (List.map (fun x -> Json.Str x) xs) in
+  Json.Obj
+    [
+      ("version", Json.Int Report.version);
+      ("program", Json.Str m.m_program);
+      ( "ops",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("op", Json.Str (op_name r.or_op));
+                   ("arity", Json.Int r.or_op.op_arity);
+                   ("writes", strs r.or_writes);
+                   ("reads", strs r.or_reads);
+                   ("idempotent", Mc.law_to_json r.or_idempotent);
+                   ("nop", Mc.law_to_json r.or_nop);
+                 ])
+             m.m_ops) );
+      ( "cells",
+        Json.List
+          (List.map
+             (fun c ->
+               Json.Obj
+                 [
+                   ("left", Json.Str (op_name c.c_left));
+                   ("right", Json.Str (op_name c.c_right));
+                   ("verdict", Json.Str (verdict_string c.c_verdict));
+                   ("source", Json.Str (source_string c.c_source));
+                   ( "domain",
+                     match c.c_domain with
+                     | Some d -> Json.Str (Mc.domain_string d)
+                     | None -> Json.Null );
+                   ("checks", Json.Int c.c_checks);
+                   ("exhaustive_upto", Json.Int c.c_exhaustive_upto);
+                   ("reason", Json.Str c.c_reason);
+                 ])
+             m.m_cells) );
+    ]

@@ -27,16 +27,15 @@
       disjoint cells, and the frame atom's self-read cannot observe the
       other op's write;
     + {b model checking} — the only layer that can {e promote} to
-      {!Commute}. In the style of {!Rewrite}'s verifier it replays both
-      orders over structures of size ≤ 4 (exhaustive while the bit
-      budget lasts, seeded sampling beyond, periodic bulk-backend
-      cross-checks) on two domains: {e synthetic} structures with
-      arbitrary auxiliary contents (a strict superset of anything
-      reachable), and — when a synthetic counterexample exists — the
-      {e reachable} states produced by seeded request prefixes from the
-      initial state, which is the only domain the serving layer
-      inhabits. A verdict confirmed merely on the reachable domain is
-      tagged as such ({!cell.c_domain}).
+      {!Commute}. {!Mc} replays both orders over structures of size ≤ 4
+      (exhaustive while the bit budget lasts, seeded sampling beyond,
+      periodic bulk-backend cross-checks) on two domains: {e synthetic}
+      structures with arbitrary auxiliary contents (a strict superset
+      of anything reachable), and — when a synthetic counterexample
+      exists — the {e reachable} states produced by seeded request
+      prefixes from the initial state, which is the only domain the
+      serving layer inhabits. A verdict confirmed merely on the
+      reachable domain is tagged as such ({!cell.c_domain}).
 
     Anything unconfirmed degrades to {!Unknown}; every consumer
     ({!Dynfo.Runner.step_batch}'s planner, the session worker's
@@ -66,31 +65,27 @@ val op_name : op -> string
 val ops_of : Program.t -> op list
 (** Every operation of the program, in input-vocabulary order. *)
 
+val block_of : Program.t -> op -> Program.update option
+(** The op's update block ([None]: default maintenance only). *)
+
+val request_of : op -> int list -> Request.t
+(** The op applied to an argument tuple ([set]: its single value). *)
+
 (** {1 Verdicts} *)
 
 type verdict = Commute | Conflict | Unknown
-
-type domain =
-  | Synthetic  (** arbitrary auxiliary contents — the stronger claim *)
-  | Reachable  (** request prefixes from the initial state only *)
 
 type source =
   | Syntactic  (** layer 1: disjoint read/write sets *)
   | Frames  (** layer 2: disjoint self-pinned frames *)
   | Mc_only  (** no static proof; the model checker decided alone *)
 
-type law = {
-  law_holds : bool;
-  law_domain : domain;  (** meaningful when [law_holds] *)
-  law_checks : int;
-}
-
 type cell = {
   c_left : op;
   c_right : op;
   c_verdict : verdict;  (** symmetric *)
   c_source : source;
-  c_domain : domain option;  (** [Some] exactly on [Commute] *)
+  c_domain : Mc.domain option;  (** [Some] exactly on [Commute] *)
   c_checks : int;  (** model-checker state/argument combinations run *)
   c_exhaustive_upto : int;  (** sizes covered exhaustively (0 = none) *)
   c_reason : string;
@@ -100,8 +95,8 @@ type op_report = {
   or_op : op;
   or_writes : string list;  (** exact: targets + the maintained symbol *)
   or_reads : string list;  (** over-approximate, temp-expanded *)
-  or_idempotent : law;
-  or_nop : law;  (** the redundant-request no-op law *)
+  or_idempotent : Mc.law;
+  or_nop : Mc.law;  (** the redundant-request no-op law *)
 }
 
 type matrix = {
@@ -144,10 +139,9 @@ val install : unit -> unit
 
 val verdict_string : verdict -> string
 val source_string : source -> string
-val domain_string : domain -> string
 
 val pp : Format.formatter -> matrix -> unit
 (** Human-readable grid plus per-op laws and per-cell reasons. *)
 
-val pp_json : Format.formatter -> matrix -> unit
+val to_json : matrix -> Json.t
 (** Machine-readable report (schema [version]: {!Report.version}). *)

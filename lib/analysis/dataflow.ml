@@ -214,33 +214,39 @@ let pp_dot ppf d =
     d.query_reads;
   Format.fprintf ppf "}@."
 
-let pp_json_strs ppf xs =
-  Format.fprintf ppf "[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       (fun ppf s -> Format.fprintf ppf "\"%s\"" s))
-    xs
-
-let pp_json ppf d =
-  let pp_sep ppf () = Format.pp_print_string ppf ", " in
-  Format.fprintf ppf
-    "{\"program\": \"%s\", \"rules\": [%a], \"edges\": [%a], \
-     \"query_reads\": %a, \"live\": %a, \"dead_relations\": %a, \
-     \"dead_rules\": %a, \"hazards\": [%a]}"
-    d.program
-    (Format.pp_print_list ~pp_sep (fun ppf n ->
-         Format.fprintf ppf
-           "{\"path\": \"%s\", \"target\": \"%s\", \"temp\": %b, \"reads\": \
-            %a}"
-           n.path n.target n.is_temp pp_json_strs n.reads))
-    d.nodes
-    (Format.pp_print_list ~pp_sep (fun ppf (t, r) ->
-         Format.fprintf ppf "[\"%s\", \"%s\"]" t r))
-    d.edges pp_json_strs d.query_reads pp_json_strs d.live pp_json_strs
-    d.dead_rels pp_json_strs d.dead_rules
-    (Format.pp_print_list ~pp_sep (fun ppf h ->
-         Format.fprintf ppf
-           "{\"block\": \"%s\", \"relation\": \"%s\", \"writer\": \"%s\", \
-            \"readers\": %a}"
-           h.hz_block h.hz_rel h.hz_writer pp_json_strs h.hz_readers))
-    d.hazards
+let to_json d =
+  let strs xs = Json.List (List.map (fun x -> Json.Str x) xs) in
+  Json.(
+    Obj
+      [
+        ("program", Str d.program);
+        ( "rules",
+          List
+            (List.map
+               (fun n ->
+                 Obj
+                   [
+                     ("path", Str n.path);
+                     ("target", Str n.target);
+                     ("temp", Bool n.is_temp);
+                     ("reads", strs n.reads);
+                   ])
+               d.nodes) );
+        ("edges", List (List.map (fun (t, r) -> strs [ t; r ]) d.edges));
+        ("query_reads", strs d.query_reads);
+        ("live", strs d.live);
+        ("dead_relations", strs d.dead_rels);
+        ("dead_rules", strs d.dead_rules);
+        ( "hazards",
+          List
+            (List.map
+               (fun h ->
+                 Obj
+                   [
+                     ("block", Str h.hz_block);
+                     ("relation", Str h.hz_rel);
+                     ("writer", Str h.hz_writer);
+                     ("readers", strs h.hz_readers);
+                   ])
+               d.hazards) );
+      ])

@@ -60,4 +60,4 @@ val pp_dot : Format.formatter -> t -> unit
     ellipses (dead ones dashed gray), the query as a diamond; edges
     point in the direction of dataflow (read relation → target). *)
 
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Dynfo.Json.t

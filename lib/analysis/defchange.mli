@@ -19,11 +19,11 @@
     static layers (1, syntactic: no rule reads the written symbol, so
     members cannot observe each other; 2, frame-based: every rule
     carries a slab frame from its {!Support} plan) only {e nominate} —
-    layer 3, a bounded model checker in the style of {!Commute}, is the
-    only thing that grants a verdict. It runs the exploited code paths
-    themselves ([absorb_group] and [step_batch ~defchange] with the
-    verdict forced) against the singleton-sequence fold over batches of
-    1–3 members — exhaustive over synthetic structures while the budget
+    layer 3, the bounded model checker {!Mc}, is the only thing that
+    grants a verdict. It runs the exploited code paths themselves
+    ([absorb_group] and [step_batch ~defchange] with the verdict
+    forced) against the singleton-sequence fold over batches of 1–3
+    members — exhaustive over synthetic structures while the budget
     lasts, seeded sampling beyond, reachable-state fallback — and
     additionally checks the FO-definable set-change forms
     ([insdef]/[deldef] whose formula denotes exactly the member tuples)
@@ -39,13 +39,6 @@ val ops_of : Program.t -> Commute.op list
 (** {1 Verdicts} *)
 
 type source = Commute.source = Syntactic | Frames | Mc_only
-type domain = Commute.domain = Synthetic | Reachable
-
-type law = Commute.law = {
-  law_holds : bool;
-  law_domain : domain;  (** meaningful when [law_holds] *)
-  law_checks : int;
-}
 
 type verdict = Absorb | Stream | Fold | Unknown
 
@@ -53,13 +46,13 @@ type cell = {
   d_op : Commute.op;
   d_verdict : verdict;
   d_source : source;
-  d_domain : domain option;
+  d_domain : Mc.domain option;
       (** the granting law's domain; [Some] exactly on [Absorb]/[Stream] *)
   d_checks : int;  (** model-checker combinations across all three laws *)
   d_exhaustive_upto : int;  (** granting law's exhaustive size bound *)
-  d_absorb : law;  (** group ≡ input-only application *)
-  d_stream : law;  (** group ≡ fold under one delta batch scope *)
-  d_definable : law;
+  d_absorb : Mc.law;  (** group ≡ input-only application *)
+  d_stream : Mc.law;  (** group ≡ fold under one delta batch scope *)
+  d_definable : Mc.law;
       (** [insdef]/[deldef] ≡ explicit expansion; trivial (0 checks)
           for [set] ops, which have no set form *)
   d_reason : string;
@@ -102,9 +95,8 @@ val install : unit -> unit
 
 val verdict_string : verdict -> string
 val source_string : source -> string
-val domain_string : domain -> string
 val pp : Format.formatter -> matrix -> unit
-val pp_json : Format.formatter -> matrix -> unit
+val to_json : matrix -> Json.t
 (** One JSON object per program:
     [{"version": …, "program": …, "cells": [{"op", "arity", "verdict",
     "source", "domain", "checks", "exhaustive_upto", "absorb",

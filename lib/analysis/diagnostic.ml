@@ -36,24 +36,12 @@ let pp ppf d =
 
 let to_string d = Format.asprintf "%a" pp d
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let pp_json ppf d =
-  Format.fprintf ppf
-    "{\"severity\": \"%s\", \"program\": \"%s\", \"path\": \"%s\", \
-     \"message\": \"%s\"}"
-    (severity_string d.severity)
-    (json_escape d.program) (json_escape d.path) (json_escape d.message)
+let to_json d =
+  Dynfo.Json.(
+    Obj
+      [
+        ("severity", Str (severity_string d.severity));
+        ("program", Str d.program);
+        ("path", Str d.path);
+        ("message", Str d.message);
+      ])

@@ -39,6 +39,6 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Dynfo.Json.t
 (** One JSON object: [{"severity": ..., "program": ..., "path": ...,
     "message": ...}]. *)

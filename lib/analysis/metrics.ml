@@ -114,27 +114,34 @@ let pp ppf m =
     m.max_tuple_exponent m.max_quantifier_rank m.max_alternation_depth
     m.max_work_exponent m.max_opt_work_exponent m.total_formula_size
 
-let pp_json_row ppf r =
-  Format.fprintf ppf
-    "{\"path\": \"%s\", \"target\": \"%s\", \"tuple_exponent\": %d, \
-     \"quantifier_rank\": %d, \"alternation_depth\": %d, \"formula_size\": \
-     %d, \"width\": %d, \"work_exponent\": %d, \"opt_quantifier_rank\": \
-     %d, \"opt_work_exponent\": %d}"
-    r.path r.target r.tuple_exponent r.quantifier_rank r.alternation_depth
-    r.formula_size r.width r.work_exponent r.opt_quantifier_rank
-    r.opt_work_exponent
+let row_to_json r =
+  Json.(
+    Obj
+      [
+        ("path", Str r.path);
+        ("target", Str r.target);
+        ("tuple_exponent", Int r.tuple_exponent);
+        ("quantifier_rank", Int r.quantifier_rank);
+        ("alternation_depth", Int r.alternation_depth);
+        ("formula_size", Int r.formula_size);
+        ("width", Int r.width);
+        ("work_exponent", Int r.work_exponent);
+        ("opt_quantifier_rank", Int r.opt_quantifier_rank);
+        ("opt_work_exponent", Int r.opt_work_exponent);
+      ])
 
-let pp_json ppf m =
-  let pp_list ppf rows =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-      pp_json_row ppf rows
-  in
-  Format.fprintf ppf
-    "{\"program\": \"%s\", \"rule_count\": %d, \"max_tuple_exponent\": %d, \
-     \"max_quantifier_rank\": %d, \"max_alternation_depth\": %d, \
-     \"max_work_exponent\": %d, \"max_opt_work_exponent\": %d, \
-     \"total_formula_size\": %d, \"rules\": [%a], \"queries\": [%a]}"
-    m.program m.rule_count m.max_tuple_exponent m.max_quantifier_rank
-    m.max_alternation_depth m.max_work_exponent m.max_opt_work_exponent
-    m.total_formula_size pp_list m.rules pp_list m.queries
+let to_json m =
+  Json.(
+    Obj
+      [
+        ("program", Str m.program);
+        ("rule_count", Int m.rule_count);
+        ("max_tuple_exponent", Int m.max_tuple_exponent);
+        ("max_quantifier_rank", Int m.max_quantifier_rank);
+        ("max_alternation_depth", Int m.max_alternation_depth);
+        ("max_work_exponent", Int m.max_work_exponent);
+        ("max_opt_work_exponent", Int m.max_opt_work_exponent);
+        ("total_formula_size", Int m.total_formula_size);
+        ("rules", List (List.map row_to_json m.rules));
+        ("queries", List (List.map row_to_json m.queries));
+      ])

@@ -46,4 +46,4 @@ val of_program : Dynfo.Program.t -> t
 val pp : Format.formatter -> t -> unit
 (** Human-readable per-rule table with the program-level maxima. *)
 
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Dynfo.Json.t

@@ -51,13 +51,14 @@ let pp ppf r =
     (Advisor.backend_string r.advice.Advisor.backend)
     r.advice.Advisor.par_cutoff r.advice.Advisor.reason
 
-let pp_json ppf r =
-  Format.fprintf ppf
-    "{\"version\": %d, \"program\": \"%s\", \"diagnostics\": [%a], \
-     \"metrics\": %a, \"dataflow\": %a, \"advice\": %a}"
-    version r.program
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-       Diagnostic.pp_json)
-    r.diagnostics Metrics.pp_json r.metrics Dataflow.pp_json r.dataflow
-    Advisor.pp_json r.advice
+let to_json r =
+  Dynfo.Json.(
+    Obj
+      [
+        ("version", Int version);
+        ("program", Str r.program);
+        ("diagnostics", List (List.map Diagnostic.to_json r.diagnostics));
+        ("metrics", Metrics.to_json r.metrics);
+        ("dataflow", Dataflow.to_json r.dataflow);
+        ("advice", Advisor.to_json r.advice);
+      ])

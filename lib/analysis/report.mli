@@ -39,4 +39,4 @@ val pp : Format.formatter -> t -> unit
 (** Diagnostics (one per line), then the metrics table, a dataflow
     summary and the backend advice. *)
 
-val pp_json : Format.formatter -> t -> unit
+val to_json : t -> Dynfo.Json.t

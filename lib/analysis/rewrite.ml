@@ -47,31 +47,13 @@ let merge_stats a b =
 
 (* --- semantic verification by model checking -------------------------
 
-   Two formulas are compared on every structure over their support
+   Two formulas are compared by Mc on every structure over their support
    relations up to a size cutoff, under every assignment of their free
    variables and constants — exhaustively while the count of
    (structure, assignment) pairs fits the budget, by seeded random
    sampling beyond. Temporary relations are treated as relations with
    arbitrary content, which only strengthens the check. Both the
    tuple-at-a-time and the bulk evaluator are exercised. *)
-
-exception Found of counterexample
-
-let pow b e =
-  let r = ref 1 in
-  for _ = 1 to e do
-    r := !r * b
-  done;
-  !r
-
-let decode_tuple ~size ~arity idx =
-  let t = Array.make arity 0 in
-  let rest = ref idx in
-  for i = 0 to arity - 1 do
-    t.(i) <- !rest mod size;
-    rest := !rest / size
-  done;
-  t
 
 (* the relations both formulas read, with arities resolved against the
    block's temporaries first, then the program vocabulary *)
@@ -88,133 +70,49 @@ let support ~vocab ~extra_rels fs =
     (List.concat_map Formula.rel_atoms fs)
   |> List.rev
 
-let free_idents fs =
-  List.fold_left
-    (fun acc x -> if List.mem x acc then acc else acc @ [ x ])
-    []
-    (List.concat_map Formula.free_vars fs)
+let dedup_strings xs =
+  List.rev
+    (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
 
 let verify_equiv ~vocab ?(extra_rels = []) ?(max_size = 4) ?(budget = 60_000)
     ?(samples = 240) before after =
   let rels = support ~vocab ~extra_rels [ before; after ] in
-  let idents = free_idents [ before; after ] in
-  let consts, fvars = List.partition (Vocab.mem_const vocab) idents in
-  let syn_vocab =
-    Vocab.make ~rels ~consts
+  let idents =
+    dedup_strings (Formula.free_vars before @ Formula.free_vars after)
   in
+  let consts, fvars = List.partition (Vocab.mem_const vocab) idents in
   let checks = ref 0 in
-  let compare_on st env =
+  let found = ref None in
+  let check st argss =
     incr checks;
+    let env = List.combine fvars (List.hd argss) in
     let b = Eval.holds st ~env before in
     let a = Eval.holds st ~env after in
-    let mismatch b a =
-      raise
-        (Found
-           {
-             cex_size = Structure.size st;
-             cex_env = env;
-             cex_structure = Format.asprintf "%a" Structure.pp st;
-             before_value = b;
-             after_value = a;
-           })
-    in
-    if b <> a then mismatch b a;
     (* cross-check the bulk evaluator on a cadence — same semantics,
        different code path *)
-    if !checks land 7 = 0 then begin
-      let bb = Bulk_eval.holds st ~env before in
-      let ab = Bulk_eval.holds st ~env after in
-      if bb <> ab then mismatch bb ab
-    end
-  in
-  let with_env st size k =
-    (* enumerate the free variables; constants were set on [st] *)
-    let nv = List.length fvars in
-    for i = 0 to pow size nv - 1 do
-      let rest = ref i in
-      let env =
-        List.map
-          (fun x ->
-            let v = !rest mod size in
-            rest := !rest / size;
-            (x, v))
-          fvars
-      in
-      k st env
-    done
-  in
-  let with_consts st size k =
-    let nc = List.length consts in
-    for i = 0 to pow size nc - 1 do
-      let rest = ref i in
-      let st =
-        List.fold_left
-          (fun st c ->
-            let v = !rest mod size in
-            rest := !rest / size;
-            Structure.with_const st c v)
-          st consts
-      in
-      k st
-    done
-  in
-  let structure_of_pattern ~size pattern =
-    let st = ref (Structure.create ~size syn_vocab) in
-    let bit = ref 0 in
-    List.iter
-      (fun (name, arity) ->
-        for i = 0 to pow size arity - 1 do
-          if (pattern lsr !bit) land 1 = 1 then
-            st := Structure.add_tuple !st name (decode_tuple ~size ~arity i);
-          incr bit
-        done)
-      rels;
-    !st
-  in
-  let random_structure rng ~size =
-    let st = ref (Structure.create ~size syn_vocab) in
-    List.iter
-      (fun (name, arity) ->
-        let density =
-          match Random.State.int rng 3 with 0 -> 0.15 | 1 -> 0.5 | _ -> 0.85
-        in
-        for i = 0 to pow size arity - 1 do
-          if Random.State.float rng 1.0 < density then
-            st := Structure.add_tuple !st name (decode_tuple ~size ~arity i)
-        done)
-      rels;
-    let st =
-      List.fold_left
-        (fun st c -> Structure.with_const st c (Random.State.int rng size))
-        !st consts
+    let b, a =
+      if b <> a || !checks land 7 <> 0 then (b, a)
+      else (Bulk_eval.holds st ~env before, Bulk_eval.holds st ~env after)
     in
-    st
+    if b <> a then
+      found :=
+        Some
+          {
+            cex_size = Structure.size st;
+            cex_env = env;
+            cex_structure = Format.asprintf "%a" Structure.pp st;
+            before_value = b;
+            after_value = a;
+          };
+    b = a
   in
-  let exhaustive_upto = ref 0 in
-  try
-    for size = 1 to max_size do
-      let bits = List.fold_left (fun acc (_, a) -> acc + pow size a) 0 rels in
-      let combos = pow size (List.length consts + List.length fvars) in
-      if bits <= 22 && (1 lsl bits) * combos <= budget then begin
-        for pattern = 0 to (1 lsl bits) - 1 do
-          with_consts (structure_of_pattern ~size pattern) size (fun st ->
-              with_env st size compare_on)
-        done;
-        (* sizes are covered in order, so this tracks the largest prefix *)
-        if !exhaustive_upto = size - 1 then exhaustive_upto := size
-      end
-      else begin
-        let rng = Random.State.make [| 0xD1CE; size; bits |] in
-        for _ = 1 to samples do
-          let st = random_structure rng ~size in
-          (* one random assignment per sampled structure *)
-          let env = List.map (fun x -> (x, Random.State.int rng size)) fvars in
-          compare_on st env
-        done
-      end
-    done;
-    Ok { checks = !checks; exhaustive_upto = !exhaustive_upto }
-  with Found cex -> Error cex
+  let r =
+    Mc.synthetic ~seed:0xD1CE ~draws:1 ~max_size ~budget ~samples
+      ~arities:[ List.length fvars ] ~check (Vocab.make ~rels ~consts)
+  in
+  match !found with
+  | Some cex -> Error cex
+  | None -> Ok { checks = r.mc_checks; exhaustive_upto = r.mc_exhaustive_upto }
 
 (* --- structural verification ----------------------------------------- *)
 
@@ -267,10 +165,6 @@ type outcome = {
   rejected : rejection list;
   stats : stats;
 }
-
-let dedup_strings xs =
-  List.rev
-    (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] xs)
 
 let optimize_formula ?(passes = default_passes) ~vocab ?(extra_rels = [])
     ?max_size ?budget ?samples ~path f0 =
@@ -343,87 +237,19 @@ let eval_block st ~env (u : Program.update) =
 
 let verify_block ~vocab ~params ?(max_size = 3) ?(budget = 2_000)
     ?(samples = 48) u_before u_after =
-  let rels =
-    List.map (fun (s : Vocab.sym) -> (s.name, s.arity)) (Vocab.relations vocab)
-  in
-  let consts = Vocab.constants vocab in
-  let checks = ref 0 in
-  let compare_on st args =
-    incr checks;
-    let env = List.combine params args in
-    let before = eval_block st ~env u_before in
-    let after = eval_block st ~env u_after in
+  let check st argss =
+    let env = List.combine params (List.hd argss) in
     List.for_all2
       (fun (t1, r1) (t2, r2) -> t1 = t2 && Relation.equal r1 r2)
-      before after
+      (eval_block st ~env u_before)
+      (eval_block st ~env u_after)
   in
-  let all_args size =
-    let np = List.length params in
-    List.init (pow size np) (fun i ->
-        let rest = ref i in
-        List.map
-          (fun _ ->
-            let v = !rest mod size in
-            rest := !rest / size;
-            v)
-          params)
+  let r =
+    Mc.synthetic ~seed:0xCE5 ~draws:1 ~max_size ~budget ~samples
+      ~arities:[ List.length params ] ~check vocab
   in
-  let ok = ref true in
-  (try
-     for size = 1 to max_size do
-       if not !ok then raise Exit;
-       let bits = List.fold_left (fun acc (_, a) -> acc + pow size a) 0 rels in
-       let combos = pow size (List.length consts) * List.length (all_args size)
-       in
-       if bits <= 16 && (1 lsl bits) * combos <= budget then
-         for pattern = 0 to (1 lsl bits) - 1 do
-           let st = ref (Structure.create ~size vocab) in
-           let bit = ref 0 in
-           List.iter
-             (fun (name, arity) ->
-               for i = 0 to pow size arity - 1 do
-                 if (pattern lsr !bit) land 1 = 1 then
-                   st :=
-                     Structure.add_tuple !st name (decode_tuple ~size ~arity i);
-                 incr bit
-               done)
-             rels;
-           List.iter
-             (fun args -> if not (compare_on !st args) then ok := false)
-             (all_args size)
-         done
-       else begin
-         let rng = Random.State.make [| 0xCE5; size |] in
-         for _ = 1 to samples do
-           let st = ref (Structure.create ~size vocab) in
-           List.iter
-             (fun (name, arity) ->
-               let density =
-                 match Random.State.int rng 3 with
-                 | 0 -> 0.15
-                 | 1 -> 0.5
-                 | _ -> 0.85
-               in
-               for i = 0 to pow size arity - 1 do
-                 if Random.State.float rng 1.0 < density then
-                   st :=
-                     Structure.add_tuple !st name (decode_tuple ~size ~arity i)
-               done)
-             rels;
-           let st =
-             List.fold_left
-               (fun st c -> Structure.with_const st c (Random.State.int rng size))
-               !st consts
-           in
-           let args =
-             List.map (fun _ -> Random.State.int rng size) params
-           in
-           if not (compare_on st args) then ok := false
-         done
-       end
-     done
-   with Exit -> ());
-  (!ok, !checks)
+  ( r.mc_cex = None,
+    { checks = r.mc_checks; exhaustive_upto = r.mc_exhaustive_upto } )
 
 (* candidate occurrences: composite subformulas of rule bodies with the
    quantifier-bound variables enclosing each occurrence *)
@@ -644,11 +470,9 @@ let optimize_program ?(passes = default_passes) ?max_size ?budget ?samples
             let u', names = cse_block ~vocab ~fresh_names:"cse" u in
             if names = [] then ((key, u), [])
             else
-              let ok, block_checks =
-                verify_block ~vocab ~params:u.params u u'
-              in
+              let ok, block_stats = verify_block ~vocab ~params:u.params u u' in
               let path = block_path kind key in
-              stats := merge_stats !stats { checks = block_checks; exhaustive_upto = 1 };
+              stats := merge_stats !stats block_stats;
               if ok then ((key, u'), [ (path, names) ])
               else begin
                 rejections :=
@@ -694,19 +518,11 @@ let optimize_program ?(passes = default_passes) ?max_size ?budget ?samples
 
 (* --- end-to-end differential check ------------------------------------ *)
 
-let workload_spec (p : Program.t) =
-  let rels =
-    List.map
-      (fun (s : Vocab.sym) -> (s.name, s.arity))
-      (Vocab.relations p.input_vocab)
-  in
-  Workload.spec ~consts:(Vocab.constants p.input_vocab) rels
-
 let check_equivalence ?(size = 5) ?(length = 120) ?(seeds = [ 1; 2 ]) p q =
   let impls =
     [ Dyn.of_program p; Dyn.of_program { q with Program.name = q.Program.name ^ "+opt" } ]
   in
-  let spec = workload_spec p in
+  let spec = Mc.workload_spec p in
   List.fold_left
     (fun acc seed ->
       match acc with

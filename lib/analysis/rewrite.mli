@@ -67,6 +67,21 @@ val verify_equiv :
     enumeration; [samples] (default 240) is the per-size sample count
     beyond the budget. *)
 
+val verify_block :
+  vocab:Dynfo_logic.Vocab.t ->
+  params:string list ->
+  ?max_size:int ->
+  ?budget:int ->
+  ?samples:int ->
+  Dynfo.Program.update ->
+  Dynfo.Program.update ->
+  bool * stats
+(** [verify_block ~vocab ~params before after] is [true] when both
+    blocks give every rule target the same relation on every checked
+    structure over [vocab] (constants included) and assignment of
+    [params] — as {!verify_equiv}, with defaults [max_size] 3,
+    [budget] 2000, [samples] 48. *)
+
 type outcome = {
   result : Dynfo_logic.Formula.t;
   applied : string list;  (** passes that fired and verified *)

@@ -398,6 +398,78 @@ let test_verify_equiv_sound_rewrite () =
       Alcotest.failf "sound rewrite rejected: %s"
         (Format.asprintf "%a" Rewrite.pp_counterexample cex)
 
+let test_verify_block_enumerates_constants () =
+  (* [x = c] and [x = 0] agree whenever c = 0: a block checker that left
+     every constant at its initial 0 would accept this rewrite *)
+  let vocab = Vocab.make ~rels:[ ("R", 1); ("T", 1) ] ~consts:[ "c" ] in
+  let block body =
+    Program.update ~params:[] [ Program.rule_s "T" [ "x" ] body ]
+  in
+  let ok, _ =
+    Rewrite.verify_block ~vocab ~params:[] (block "R(x) & x = c")
+      (block "R(x) & x = 0")
+  in
+  check tb "x = c vs x = 0 refuted" false ok;
+  let ok, stats =
+    Rewrite.verify_block ~vocab ~params:[] (block "R(x) & x = c")
+      (block "x = c & R(x)")
+  in
+  check tb "a sound reordering accepted" true ok;
+  (* 2^bits patterns x |c| values per size: 4·1 + 16·2 + 64·3 *)
+  check ti "every constant value enumerated" 228 stats.Rewrite.checks;
+  check ti "exhaustive to the cutoff" 3 stats.Rewrite.exhaustive_upto
+
+(* --- the bounded model checker ------------------------------------------- *)
+
+module Mc = Dynfo_analysis.Mc
+
+let test_mc_reachable_shared () =
+  let a = Mc.reachable ~max_size:2 parity in
+  check tb "repeated lookup is the same value" true
+    (a == Mc.reachable ~max_size:2 parity);
+  check tb "keyed on max_size too" true
+    (a != Mc.reachable ~max_size:3 parity);
+  check tb "states span every size" true
+    (List.sort_uniq compare (List.map fst a) = [ 1; 2 ])
+
+let test_mc_exhaustive_counts () =
+  (* R/1 and B/0 give size+1 bits; one constant; two unary arguments *)
+  let vocab = Vocab.make ~rels:[ ("R", 1); ("B", 0) ] ~consts:[ "c" ] in
+  let seen = Hashtbl.create 512 in
+  let per_size = Array.make 4 0 in
+  let check_fn st argss =
+    let size = Structure.size st in
+    per_size.(size) <- per_size.(size) + 1;
+    let r = List.filter (fun i -> Structure.mem st "R" [| i |]) in
+    Hashtbl.replace seen
+      ( size,
+        r (List.init size Fun.id),
+        Structure.mem st "B" [||],
+        Structure.const st "c",
+        argss )
+      ();
+    true
+  in
+  let run budget =
+    Mc.synthetic ~seed:1 ~draws:2 ~max_size:3 ~budget ~samples:5
+      ~arities:[ 1; 1 ] ~check:check_fn vocab
+  in
+  let r = run 432 in
+  List.iter
+    (fun size ->
+      check ti
+        (Printf.sprintf "size %d visits 2^bits x size^|consts| x |args|" size)
+        (Mc.pow 2 (size + 1) * size * Mc.pow size 2)
+        per_size.(size))
+    [ 1; 2; 3 ];
+  check ti "each combination exactly once" r.Mc.mc_checks (Hashtbl.length seen);
+  check ti "exhaustive to n=3" 3 r.Mc.mc_exhaustive_upto;
+  (* one combination short of the budget: size 3 is sampled *)
+  Array.fill per_size 0 4 0;
+  let r = run 431 in
+  check ti "exhaustive to n=2" 2 r.Mc.mc_exhaustive_upto;
+  check ti "size 3 sampled: samples x draws" 10 per_size.(3)
+
 (* --- dataflow -------------------------------------------------------------- *)
 
 let test_dataflow_reach_u () =
@@ -580,6 +652,15 @@ let () =
             test_verify_equiv_counterexample;
           Alcotest.test_case "sound rewrite accepted" `Quick
             test_verify_equiv_sound_rewrite;
+          Alcotest.test_case "block check enumerates constants" `Quick
+            test_verify_block_enumerates_constants;
+        ] );
+      ( "mc",
+        [
+          Alcotest.test_case "reachable states shared" `Quick
+            test_mc_reachable_shared;
+          Alcotest.test_case "exhaustive combination counts" `Quick
+            test_mc_exhaustive_counts;
         ] );
       ( "dataflow",
         [

@@ -11,6 +11,7 @@ open Dynfo_logic
 open Dynfo
 open Dynfo_programs
 module C = Dynfo_analysis.Commute
+module Mc = Dynfo_analysis.Mc
 module Advisor = Dynfo_analysis.Advisor
 module Calibration = Dynfo_analysis.Calibration
 
@@ -45,16 +46,16 @@ let test_matrix_confirmed () =
         m.C.m_cells;
       List.iter
         (fun (o : C.op_report) ->
-          if o.C.or_idempotent.C.law_holds then
+          if o.C.or_idempotent.Mc.law_holds then
             check tb
               (name ^ ": " ^ C.op_name o.C.or_op ^ " idempotence checked")
               true
-              (o.C.or_idempotent.C.law_checks > 0);
-          if o.C.or_nop.C.law_holds then
+              (o.C.or_idempotent.Mc.law_checks > 0);
+          if o.C.or_nop.Mc.law_holds then
             check tb
               (name ^ ": " ^ C.op_name o.C.or_op ^ " no-op law checked")
               true
-              (o.C.or_nop.C.law_checks > 0))
+              (o.C.or_nop.Mc.law_checks > 0))
         m.C.m_ops)
     [ "parity"; "reach_u"; "matching" ]
 
@@ -72,7 +73,7 @@ let test_known_verdicts () =
   (match C.find_cell mr del_e del_e with
   | Some c ->
       check tb "reach_u del/del holds on the reachable domain only" true
-        (c.C.c_domain = Some C.Reachable)
+        (c.C.c_domain = Some Mc.Reachable)
   | None -> Alcotest.fail "reach_u del/del cell missing");
   (* set s / set t write distinct constants nothing else reads *)
   let set_s = op `Set "s" 1 and set_t = op `Set "t" 1 in

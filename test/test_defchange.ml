@@ -14,6 +14,7 @@ open Dynfo_logic
 open Dynfo
 open Dynfo_programs
 module D = Dynfo_analysis.Defchange
+module Mc = Dynfo_analysis.Mc
 module Advisor = Dynfo_analysis.Advisor
 module Commute = Dynfo_analysis.Commute
 module Pool = Dynfo_engine.Pool
@@ -62,9 +63,9 @@ let test_known_verdicts () =
   (match D.find_cell m `Ins "M" with
   | Some c ->
       check tb "parity ins M absorb law refuted" true
-        (not c.D.d_absorb.D.law_holds);
+        (not c.D.d_absorb.Mc.law_holds);
       check tb "parity ins M definable law confirmed" true
-        (c.D.d_definable.D.law_holds && c.D.d_definable.D.law_checks > 0)
+        (c.D.d_definable.Mc.law_holds && c.D.d_definable.Mc.law_checks > 0)
   | None -> Alcotest.fail "parity ins M cell missing");
   let mr = D.matrix_of (find "reach_u") in
   check tb "reach_u ins E streams" true (D.verdict mr `Ins "E" = D.Stream);
@@ -121,7 +122,7 @@ let test_mutation_rejects_absorb () =
   (match D.find_cell m `Ins "M" with
   | Some c ->
       check tb "absorb law refuted with a counterexample" true
-        (not c.D.d_absorb.D.law_holds)
+        (not c.D.d_absorb.Mc.law_holds)
   | None -> Alcotest.fail "first-insert ins M cell missing");
   check tb "oracle never answers `Absorb for it" true
     (D.oracle_of first_insert `Ins "M" <> `Absorb);
