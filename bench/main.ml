@@ -215,7 +215,7 @@ let () =
                 in
                 let par =
                   us_per_request
-                    (Dynfo_engine.Par_runner.dyn pool ~cutoff:0 e.program)
+                    (Dyn.of_program ~pool ~cutoff:0 e.program)
                     ~size reqs
                 in
                 let work = fo_work_per_request e.program ~size reqs in
@@ -308,8 +308,7 @@ let () =
                 in
                 let par =
                   e20_measure
-                    (Dynfo_engine.Par_runner.dyn pool ~backend:`Bulk
-                       e.program)
+                    (Dyn.of_program ~pool ~backend:`Bulk e.program)
                     ~size reqs
                 in
                 let words = bulk_work_per_request e.program ~size reqs in

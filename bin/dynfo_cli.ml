@@ -332,10 +332,7 @@ let analyze_cmd =
         let advices =
           List.map
             (fun (e : Registry.entry) ->
-              ( e,
-                A.of_program ?size
-                  ~par_cutoff:Dynfo_engine.Par_eval.default_cutoff e.program
-              ))
+              (e, A.of_program ?size e.program))
             entries
         in
         (if json then
@@ -448,12 +445,7 @@ let run_cmd =
              l <> "" && l.[0] <> '#')
     in
     with_engine domains (fun pool ->
-        let d =
-          match pool with
-          | None -> Dyn.of_program ~backend e.program
-          | Some pool ->
-              Dynfo_engine.Par_runner.dyn pool ~cutoff ~backend e.program
-        in
+        let d = Dyn.of_program ?pool ~cutoff ~backend e.program in
         let inst = d.create size () in
         List.iter
           (fun line ->
@@ -520,8 +512,7 @@ let check_cmd =
       @
       match pool with
       | None -> []
-      | Some pool ->
-          [ Dynfo_engine.Par_runner.dyn pool ~cutoff ~backend e.program ]
+      | Some pool -> [ Dyn.of_program ~pool ~cutoff ~backend e.program ]
     in
     Printf.printf "checking %s at n=%d over %d requests (seed %d): %!" e.name
       size (List.length reqs) seed;

@@ -11,11 +11,6 @@ type advice = {
   reason : string;
 }
 
-(* Mirrors [Dynfo_engine.Par_eval.default_cutoff]; the engine is
-   deliberately not a dependency of the analysis library, so callers
-   sitting above both (the CLI) may pass the engine's value instead. *)
-let default_par_cutoff = 2048
-
 let work_threshold = 5
 let bit_threshold = 0.05
 
@@ -164,8 +159,7 @@ let repr_plan_to_json ~size plan =
                plan) );
       ])
 
-let of_program ?(par_cutoff = default_par_cutoff) ?size
-    ?(calibration = Calibration.default) (p : Program.t) =
+let of_program ?size ?(calibration = Calibration.default) (p : Program.t) =
   let m = Metrics.of_program p in
   let atoms, bits = atom_counts p in
   let bit_fraction = if atoms = 0 then 0. else float bits /. float atoms in
@@ -238,7 +232,7 @@ let of_program ?(par_cutoff = default_par_cutoff) ?size
     program = p.name;
     backend;
     fallback = full_backend;
-    par_cutoff;
+    par_cutoff = Dynfo_engine.Par_eval.default_cutoff;
     max_work_exponent = m.Metrics.max_work_exponent;
     bit_fraction;
     reason;

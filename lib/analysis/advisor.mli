@@ -4,10 +4,11 @@
 
     Heuristic, calibrated against the E20 measurements in
     EXPERIMENTS.md: the dense bitset backend wins once the update work
-    reaches [n^5] ({!default_par_cutoff}-sized tuple spaces stop
-    fitting the short-circuit evaluator's sweet spot), {e unless} the
-    bodies lean on [BIT] — arithmetic atoms degrade the word kernels to
-    per-bit probes (mult is ~30x faster on the tuple backend).
+    reaches [n^5] ({!Dynfo_engine.Par_eval.default_cutoff}-sized tuple
+    spaces stop fitting the short-circuit evaluator's sweet spot),
+    {e unless} the bodies lean on [BIT] — arithmetic atoms degrade the
+    word kernels to per-bit probes (mult is ~30x faster on the tuple
+    backend).
 
     Since PR 5 the advisor also knows the incremental backend: when
     {!Support.eligible} holds (every update rule framed, supports
@@ -18,7 +19,7 @@
     The advice feeds the [`Auto] backend: {!install} registers
     {!choose} as {!Dynfo.Runner.set_auto_chooser} and the memoized
     {!Support.plan} as {!Dynfo.Runner.set_delta_planner}, after which
-    [Dyn.of_program ~backend:`Auto] (and the parallel runner) resolve
+    [Dyn.of_program ~backend:`Auto] (with or without a pool) resolves
     to the recommended backend per program. *)
 
 type advice = {
@@ -28,15 +29,11 @@ type advice = {
       (** full-recompute backend: what [`Delta] uses for temporaries,
           unframed rules and over-budget frontiers — and the advice
           itself when the program is not delta-eligible *)
-  par_cutoff : int;
+  par_cutoff : int;  (** {!Dynfo_engine.Par_eval.default_cutoff} *)
   max_work_exponent : int;
   bit_fraction : float;  (** BIT atoms / all atoms, over every body *)
   reason : string;  (** one-line human-readable justification *)
 }
-
-val default_par_cutoff : int
-(** Mirrors [Dynfo_engine.Par_eval.default_cutoff] (the engine is not a
-    dependency of this library). *)
 
 val delta_estimates : Dynfo.Program.t -> size:int -> int * int * int
 (** [(rules, frontier, space)] static per-step estimates for the worst
@@ -48,7 +45,6 @@ val delta_estimates : Dynfo.Program.t -> size:int -> int * int * int
     fits {!Calibration.t} against these. *)
 
 val of_program :
-  ?par_cutoff:int ->
   ?size:int ->
   ?calibration:Calibration.t ->
   Dynfo.Program.t ->

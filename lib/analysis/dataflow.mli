@@ -16,7 +16,7 @@
       maintaining it are wasted work ([dead_rules]);
     - {b write-after-read hazards}: a relation rewritten by a block and
       read (pre-state) inside the same block. Such blocks force the
-      two-phase commit {!Dynfo_engine.Par_runner} performs; a block with
+      two-phase commit {!Dynfo.Runner} performs; a block with
       no hazards could commit its writes eagerly in place. *)
 
 type rule_node = {

@@ -27,7 +27,9 @@
     lasts, seeded sampling beyond, reachable-state fallback — and
     additionally checks the FO-definable set-change forms
     ([insdef]/[deldef] whose formula denotes exactly the member tuples)
-    against their explicit expansion. *)
+    against their explicit expansion. [Absorb] skips the update block
+    outright, so it needs the synthetic confirmation: an absorb law
+    that held on reachable states only yields [Stream] at best. *)
 
 open Dynfo
 

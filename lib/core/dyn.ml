@@ -3,27 +3,32 @@ open Dynfo_logic
 type t = { name : string; create : int -> unit -> instance }
 and instance = { apply : Request.t -> unit; query : unit -> bool }
 
-let of_program ?(backend = `Tuple) (p : Program.t) =
+let of_program ?pool ?cutoff ?(backend = `Tuple) (p : Program.t) =
   (* resolve [`Auto] once, at wrap time, so the chooser is not consulted
      on every request *)
   let resolved = (Runner.resolve_backend p backend :> Runner.backend) in
   let create n () =
-    let state = ref (Runner.init p ~size:n) in
+    let state = ref (Runner.init ?pool ?cutoff p ~size:n) in
     {
       apply = (fun req -> state := Runner.step ~backend:resolved !state req);
       query = (fun () -> Runner.query ~backend:resolved !state);
     }
   in
+  let tag =
+    match (backend, resolved) with
+    | `Tuple, _ -> ""
+    | `Bulk, _ -> "bulk"
+    | `Delta, _ -> "delta"
+    | `Auto, `Bulk -> "auto:bulk"
+    | `Auto, `Delta -> "auto:delta"
+    | `Auto, _ -> "auto:tuple"
+  in
   let name =
-    match backend with
-    | `Tuple -> p.name
-    | `Bulk -> p.name ^ "[bulk]"
-    | `Delta -> p.name ^ "[delta]"
-    | `Auto -> (
-        match resolved with
-        | `Bulk -> p.name ^ "[auto:bulk]"
-        | `Delta -> p.name ^ "[auto:delta]"
-        | _ -> p.name ^ "[auto:tuple]")
+    match (pool, tag) with
+    | None, "" -> p.name
+    | None, tag -> p.name ^ "[" ^ tag ^ "]"
+    | Some _, "" -> p.name ^ "[par]"
+    | Some _, tag -> p.name ^ "[par-" ^ tag ^ "]"
   in
   { name; create }
 

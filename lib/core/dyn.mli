@@ -23,12 +23,19 @@ and instance = {
   query : unit -> bool;
 }
 
-val of_program : ?backend:Runner.backend -> Program.t -> t
+val of_program :
+  ?pool:Dynfo_engine.Pool.t ->
+  ?cutoff:int ->
+  ?backend:Runner.backend ->
+  Program.t ->
+  t
 (** Wrap an FO program (imperatively, by holding the evolving state).
     [backend] (default [`Tuple]) selects the update-formula evaluator —
-    see {!Runner.backend}; under [`Bulk] the implementation is named
-    ["<program>[bulk]"] so harness mismatch reports tell the two
-    apart. *)
+    see {!Runner.backend}; [pool] and [cutoff] are passed to
+    {!Runner.init}. The name tells the variants apart in harness
+    mismatch reports: ["<program>[bulk]"], ["<program>[delta]"],
+    ["<program>[auto:delta]"], and with a pool ["<program>[par]"],
+    ["<program>[par-bulk]"], ["<program>[par-auto:delta]"] and so on. *)
 
 val of_fun :
   name:string ->

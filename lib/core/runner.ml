@@ -1,4 +1,5 @@
 open Dynfo_logic
+open Dynfo_engine
 
 (* --- muddle-through ---------------------------------------------------------
 
@@ -39,13 +40,25 @@ type state = {
   program : Program.t;
   structure : Structure.t;
   muddle : muddle option;
+  pool : Pool.t;  (* borrowed: never shut down here *)
+  cutoff : int;  (* the smallest tuple space worth fanning out *)
 }
 
-let init (p : Program.t) ~size =
+(* The pool a state evaluates on unless given one. One lane spawns no
+   domain and runs every job inline, so [Par_eval], [Par_bulk] and
+   [Par_delta] fall through to [Eval], [Bulk_eval] and [Delta_eval]
+   without touching the pool — which is why every thread may share it. *)
+let inline_pool = Pool.create ~lanes:1 ()
+
+let make ?(pool = inline_pool) ?(cutoff = Par_eval.default_cutoff) p
+    structure =
+  { program = p; structure; muddle = None; pool; cutoff }
+
+let init ?pool ?cutoff (p : Program.t) ~size =
   let st = p.init size in
   (* sanity: the initial structure must expose the whole vocabulary *)
   ignore (Structure.restrict st (Program.vocab p));
-  { program = p; structure = st; muddle = None }
+  make ?pool ?cutoff p st
 
 let structure s = s.structure
 let input s = Structure.restrict s.structure s.program.input_vocab
@@ -76,8 +89,6 @@ let set_delta_planner f =
      unreachable, so drop the state they pin — an advisor-driven
      backend/planner switch must not keep stale buffers alive *)
   Delta_eval.invalidate ()
-
-let delta_plan p = !delta_planner p
 
 let resolve_backend (p : Program.t) (b : backend) =
   match b with
@@ -135,31 +146,72 @@ let defchange_oracle_ref :
 let set_defchange_oracle f = defchange_oracle_ref := f
 let defchange_verdict p kind rel = !defchange_oracle_ref p kind rel
 
-let seq_rules_define st ~env rules =
-  List.map
-    (fun (r : Program.rule) ->
-      (r.target, Eval.define st ~vars:r.vars ~env r.body))
-    rules
+let op_key = function
+  | Request.Ins (n, _) | Request.Ins_set (n, _) | Request.Ins_def (n, _, _) ->
+      (`Ins, n)
+  | Request.Del (n, _) | Request.Del_set (n, _) | Request.Del_def (n, _, _) ->
+      (`Del, n)
+  | Request.Set (n, _) -> (`Set, n)
 
-let bulk_rules_define st ~env rules =
-  List.map
-    (fun (r : Program.rule) ->
-      (r.target, Bulk_eval.define st ~vars:r.vars ~env r.body))
-    rules
+(* One rule evaluated in full on a concrete backend, on the state's pool. *)
+let full_define s backend st ~vars ~env f =
+  match backend with
+  | `Tuple -> Par_eval.define s.pool ~cutoff:s.cutoff st ~vars ~env f
+  | `Bulk -> Par_bulk.define s.pool ~cutoff:s.cutoff st ~vars ~env f
 
-let rules_define_for = function
-  | `Tuple -> seq_rules_define
-  | `Bulk -> bulk_rules_define
+(* The simultaneous rule block on [`Tuple] or [`Bulk]: every body reads
+   only the pre-state (plus earlier temporaries), so the block is
+   parallel both across and within rules. On a multi-lane pool, a
+   [`Tuple] block of several rules whose tuple spaces are all under the
+   cutoff hands whole rules to lanes (each runs the sequential
+   evaluator); otherwise rules go in order, parallel inside each one.
+   [`Bulk] never fans rules out: [Par_bulk] submits pool jobs itself and
+   the pool is not reentrant. *)
+let full_rules_define s backend st ~env rules =
+  if
+    backend = `Tuple
+    && Pool.lanes s.pool > 1
+    && List.length rules > 1
+    && List.for_all
+         (fun (r : Program.rule) ->
+           Par_eval.tuple_space ~size:(Structure.size st)
+             ~arity:(List.length r.vars)
+           < s.cutoff)
+         rules
+  then begin
+    let arr = Array.of_list rules in
+    let out = Array.make (Array.length arr) None in
+    Pool.parallel_for s.pool ~chunk:1 ~lo:0 ~hi:(Array.length arr)
+      (fun ~lane:_ l r ->
+        for i = l to r - 1 do
+          let (rule : Program.rule) = arr.(i) in
+          out.(i) <-
+            Some (rule.target, Eval.define st ~vars:rule.vars ~env rule.body)
+        done);
+    Array.to_list out |> List.map Option.get
+  end
+  else
+    List.map
+      (fun (r : Program.rule) ->
+        (r.target, full_define s backend st ~vars:r.vars ~env r.body))
+      rules
 
-(* The delta backend's [rules_define]: look the rule up in the block's
-   plan and evaluate its dirty frontier only; anything without a
-   matching framed plan — temporaries (fresh every step, nothing to be
-   incremental against) and unframed rules — is recomputed in full on
-   the plan's fallback backend. The plan is validated against the actual
-   rule (vars + body) so a stale plan for a same-named variant of the
-   program degrades to a full recompute instead of misevaluating. *)
-let delta_rules_define ?batch (plan : Delta_eval.program_plan) block st ~env
-    rules =
+exception Budget_blown
+
+(* The delta backend: look each rule up in the block's plan and evaluate
+   its dirty frontier only ([Par_delta] chunks it over the pool's
+   lanes); anything without a matching framed plan — temporaries (fresh
+   every step, nothing to be incremental against) and unframed rules —
+   is recomputed in full on the plan's fallback backend. The plan is
+   validated against the actual rule (vars + body) so a stale plan for a
+   same-named variant of the program degrades to a full recompute
+   instead of misevaluating. [~strict] (muddle-through) refuses inline
+   full recomputes of framed rules: a frontier past the budget raises
+   [Budget_blown] instead of paying it. Temporaries and unframed rules
+   still recompute — that is every delta step's normal cost, not a
+   blowup. *)
+let delta_rules_define ?batch ~strict s (plan : Delta_eval.program_plan)
+    block st ~env rules =
   let fallback = plan.Delta_eval.pp_fallback in
   List.map
     (fun (r : Program.rule) ->
@@ -172,31 +224,31 @@ let delta_rules_define ?batch (plan : Delta_eval.program_plan) block st ~env
             Some rp
         | _ -> None
       in
-      match rp with
-      | Some rp -> (r.target, Delta_eval.define ~fallback st ~env ?batch rp)
-      | None ->
-          (r.target, Delta_eval.full_define fallback st ~vars:r.vars ~env r.body))
+      let rel =
+        match rp with
+        | Some rp when strict && rp.Delta_eval.rp_frame <> None -> (
+            match Delta_eval.try_define st ~env rp with
+            | Some rel -> rel
+            | None -> raise Budget_blown)
+        | Some rp ->
+            Par_delta.define s.pool ~cutoff:s.cutoff ?batch st ~env ~fallback
+              rp
+        | None -> full_define s fallback st ~vars:r.vars ~env r.body
+      in
+      (r.target, rel))
     rules
 
-(* Per-request plan selection for [`Delta]: the request kind + input
-   relation name pick the update block, hence the block plan. Shared
-   with [Dynfo_engine.Par_runner], which substitutes its own frontier
-   evaluation but reuses the same lookup. *)
-let delta_block_for (p : Program.t) req =
-  let plan = !delta_planner p in
-  let block =
-    match req with
-    | Request.Ins (name, _)
-    | Request.Ins_set (name, _)
-    | Request.Ins_def (name, _, _) ->
-        Delta_eval.block_for plan `Ins name
-    | Request.Del (name, _)
-    | Request.Del_set (name, _)
-    | Request.Del_def (name, _, _) ->
-        Delta_eval.block_for plan `Del name
-    | Request.Set (name, _) -> Delta_eval.block_for plan `Set name
-  in
-  (plan, block)
+(* The [rules_define] of one request on a concrete backend. Under
+   [`Delta] the request's kind and input relation pick the block plan,
+   looked up once here rather than per temporary. *)
+let rules_define ?batch ?(strict = false) s backend req =
+  match backend with
+  | (`Tuple | `Bulk) as b -> full_rules_define s b
+  | `Delta ->
+      let plan = !delta_planner s.program in
+      let kind, name = op_key req in
+      delta_rules_define ?batch ~strict s plan
+        (Delta_eval.block_for plan kind name)
 
 let apply_update_with ~rules_define st (u : Program.update) (args : int list)
     =
@@ -286,49 +338,11 @@ let validate_request ~who s req =
       (Printf.sprintf "%s: invalid request %s for program %s" who
          (Request.to_string req) p.name)
 
-let step_with ~rules_define s req =
-  validate_request ~who:"Runner.step" s req;
-  step_with_unchecked ~rules_define s req
-
 (* one step on a concrete backend, muddle-blind *)
 let step_plain resolved s req =
-  match resolved with
-  | (`Tuple | `Bulk) as backend ->
-      step_with_unchecked ~rules_define:(rules_define_for backend) s req
-  | `Delta ->
-      let plan, block = delta_block_for s.program req in
-      step_with_unchecked ~rules_define:(delta_rules_define plan block) s req
+  step_with_unchecked ~rules_define:(rules_define s resolved req) s req
 
 (* --- the muddle-through step ------------------------------------------------ *)
-
-exception Budget_blown
-
-(* [delta_rules_define] that refuses full recomputes of *framed* rules:
-   a frontier past the budget raises [Budget_blown] instead of paying
-   the recompute inline. Temporaries and unframed rules recompute as
-   usual — they are full evaluations on every delta step by design, so
-   they are part of the step's normal cost, not a blowup. *)
-let muddle_rules_define (plan : Delta_eval.program_plan) block st ~env rules =
-  let fallback = plan.Delta_eval.pp_fallback in
-  List.map
-    (fun (r : Program.rule) ->
-      let rp =
-        match Option.bind block (fun bp -> Delta_eval.rule_plan_for bp r.target)
-        with
-        | Some rp
-          when rp.Delta_eval.rp_vars = r.vars
-               && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Some rp
-        | _ -> None
-      in
-      match rp with
-      | Some rp when rp.Delta_eval.rp_frame <> None -> (
-          match Delta_eval.try_define st ~env rp with
-          | Some rel -> (r.target, rel)
-          | None -> raise Budget_blown)
-      | _ ->
-          (r.target, Delta_eval.full_define fallback st ~vars:r.vars ~env r.body))
-    rules
 
 (* must be called with [md.md_lock] held *)
 let spawn_rebuild s md req =
@@ -364,21 +378,18 @@ let rec muddle_step resolved s md req =
   in
   if enqueued then s (* stale answers until the rebuild lands *)
   else
-    match resolved with
-    | `Tuple | `Bulk -> step_plain resolved s req
-    | `Delta -> (
-        let plan, block = delta_block_for s.program req in
-        match
-          step_with_unchecked ~rules_define:(muddle_rules_define plan block) s
-            req
-        with
-        | s' -> s'
-        | exception Budget_blown ->
-            (* nothing was installed: [step_with_unchecked] is
-               functional, the exception leaves [s] untouched. Hand the
-               whole request to the background rebuild. *)
-            Mutex.protect md.md_lock (fun () -> spawn_rebuild s md req);
-            s)
+    match
+      step_with_unchecked
+        ~rules_define:(rules_define ~strict:true s resolved req)
+        s req
+    with
+    | s' -> s'
+    | exception Budget_blown ->
+        (* nothing was installed: [step_with_unchecked] is functional,
+           the exception leaves [s] untouched. Hand the whole request to
+           the background rebuild. *)
+        Mutex.protect md.md_lock (fun () -> spawn_rebuild s md req);
+        s
 
 (* adopt a finished rebuild, replaying whatever queued behind it (a
    replayed step may blow its own budget and chain a fresh rebuild —
@@ -421,12 +432,11 @@ let run ?backend s reqs = List.fold_left (step ?backend) s reqs
 
 (* --- muddle lifecycle ------------------------------------------------------- *)
 
+(* The rebuild thread evaluates on the inline pool: a pool takes one
+   caller at a time, and the stepping thread may be driving the state's. *)
 let default_rebuild p st req =
   let fallback = (!delta_planner p).Delta_eval.pp_fallback in
-  (step_with_unchecked
-     ~rules_define:(rules_define_for fallback)
-     { program = p; structure = st; muddle = None }
-     req)
+  (step_plain (fallback :> [ `Tuple | `Bulk | `Delta ]) (make p st) req)
     .structure
 
 let enable_muddle ?rebuild s =
@@ -488,13 +498,6 @@ let redundant st = function
       (* set requests are expanded before elision is consulted; an
          unexpanded one is never known-redundant *)
       false
-
-let op_key = function
-  | Request.Ins (n, _) | Request.Ins_set (n, _) | Request.Ins_def (n, _, _) ->
-      (`Ins, n)
-  | Request.Del (n, _) | Request.Del_set (n, _) | Request.Del_def (n, _, _) ->
-      (`Del, n)
-  | Request.Set (n, _) -> (`Set, n)
 
 (* Greedy stable grouping: each request joins the most recent group of
    its own operation it can reach by commuting (pairwise, as judged by
@@ -608,13 +611,7 @@ let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
         let batch =
           if v = `Stream && backend = `Delta then Some tick else None
         in
-        let rules_define =
-          match backend with
-          | (`Tuple | `Bulk) as b -> rules_define_for b
-          | `Delta ->
-              let plan, block = delta_block_for s.program (List.hd group) in
-              delta_rules_define ?batch plan block
-        in
+        let rules_define = rules_define ?batch s backend (List.hd group) in
         let info =
           if batch = None then info
           else
@@ -637,7 +634,7 @@ let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
 let step_batch ?backend ?oracle ?defchange s reqs =
   fst (step_batch_info ?backend ?oracle ?defchange s reqs)
 
-let restore (p : Program.t) st =
+let restore ?pool ?cutoff (p : Program.t) st =
   (* the snapshot must expose the whole combined vocabulary, exactly as
      [init]'s output does *)
   ignore (Structure.restrict st (Program.vocab p));
@@ -647,7 +644,7 @@ let restore (p : Program.t) st =
      validated per step), but a restore is a lifecycle boundary — drop
      the warm caches so they rebuild against the restored world *)
   Delta_eval.invalidate ();
-  { program = p; structure = st; muddle = None }
+  make ?pool ?cutoff p st
 
 (* Queries have no frame (there is no previous value of a sentence to be
    incremental against), so [`Delta] queries on the plan's fallback. *)
@@ -655,33 +652,22 @@ let concrete_query_backend p = function
   | (`Tuple | `Bulk) as b -> b
   | `Delta -> (!delta_planner p).Delta_eval.pp_fallback
 
-let holds_for backend st ?env f =
-  match backend with
-  | `Tuple -> Eval.holds st ?env f
-  | `Bulk -> Bulk_eval.holds st ?env f
+let holds ?(backend = `Tuple) s ?env f =
+  match concrete_query_backend s.program (resolve_backend s.program backend) with
+  | `Tuple -> Eval.holds s.structure ?env f
+  | `Bulk -> Par_bulk.holds s.pool s.structure ?env f
 
-let query ?(backend = `Tuple) s =
-  holds_for
-    (concrete_query_backend s.program (resolve_backend s.program backend))
-    s.structure s.program.query
+let query ?backend s = holds ?backend s s.program.query
 
-let query_named ?(backend = `Tuple) s name args =
-  let backend =
-    concrete_query_backend s.program (resolve_backend s.program backend)
-  in
-  match
-    List.find_opt (fun (n, _, _) -> n = name) s.program.queries
-  with
+let query_named ?backend s name args =
+  match List.find_opt (fun (n, _, _) -> n = name) s.program.queries with
   | None -> raise Not_found
   | Some (_, vars, body) ->
       if List.length vars <> List.length args then
         invalid_arg "Runner.query_named: arity mismatch";
-      holds_for backend s.structure ~env:(List.combine vars args) body
+      holds ?backend s ~env:(List.combine vars args) body
 
 let step_work ?backend s req = Eval.with_work (fun () -> step ?backend s req)
-
-let step_batch_work ?backend s reqs =
-  Eval.with_work (fun () -> step_batch ?backend s reqs)
 
 let step_batch_full ?backend ?oracle ?defchange s reqs =
   let (s, info), w =

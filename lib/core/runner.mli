@@ -6,7 +6,19 @@
     pre-update structure (plus temporaries) and installed simultaneously.
     If the program has no rule redefining the updated input relation
     itself, the tuple is inserted/deleted directly (the common case where
-    maintaining the input is "trivial", as the paper puts it). *)
+    maintaining the input is "trivial", as the paper puts it).
+
+    Every state evaluates on a {!Dynfo_engine.Pool} of domains — the
+    CRAM[1] reading of FO. The rules of an update block all read the
+    pre-update structure, so they are parallel across rules and within
+    each rule: {!Dynfo_engine.Par_eval} partitions a rule's tuple space,
+    {!Dynfo_engine.Par_bulk} chunks the bitset kernels by word ranges,
+    {!Dynfo_engine.Par_delta} chunks the dirty frontier. Without
+    [?pool] a state uses a shared one-lane pool, which spawns no domain
+    and on which those modules fall through to the sequential
+    {!Dynfo_logic.Eval}, {!Dynfo_logic.Bulk_eval} and
+    {!Dynfo_logic.Delta_eval}. Answers and work counts are the same on
+    any pool: the harness cross-checks them on every registry program. *)
 
 open Dynfo_logic
 
@@ -43,17 +55,6 @@ val set_delta_planner : (Program.t -> Delta_eval.program_plan) -> unit
     {!Dynfo_logic.Delta_eval.conservative_plan} — no frames, so
     [`Delta] behaves like [`Tuple]. Planners should memoize: the runner
     consults the planner on every step. *)
-
-val delta_plan : Program.t -> Delta_eval.program_plan
-(** The installed planner's plan for a program. *)
-
-val delta_block_for :
-  Program.t ->
-  Request.t ->
-  Delta_eval.program_plan * Delta_eval.block_plan option
-(** The plan plus the block plan selected by a request (kind + input
-    relation name). [Dynfo_engine.Par_runner] uses this to mirror
-    [`Delta] steps with its own frontier evaluation. *)
 
 val resolve_backend : Program.t -> backend -> [ `Tuple | `Bulk | `Delta ]
 (** Resolve [`Auto] for a program via the installed chooser; the
@@ -132,8 +133,8 @@ val absorb_group : state -> Request.t list -> state
 val op_key : Request.t -> [ `Ins | `Del | `Set ] * string
 (** The operation a request belongs to: its update kind and input symbol
     (set requests map to their underlying kind — [Ins_def] to [`Ins]).
-    The batch planner groups by this key; the engines and the Defchange
-    analyzer reuse it to look verdicts up. *)
+    The batch planner groups by this key; the Defchange analyzer reuses
+    it to look verdicts up. *)
 
 val plan_groups : Program.t -> Request.t list -> Request.t list list
 (** The commute-aware batch plan: the request list reordered into
@@ -143,8 +144,15 @@ val plan_groups : Program.t -> Request.t list -> Request.t list list
     with the null oracle this is exactly the maximal same-op runs, in
     order. *)
 
-val init : Program.t -> size:int -> state
-(** [f_n(empty)] — the initial state for universe [{0..size-1}]. *)
+val init :
+  ?pool:Dynfo_engine.Pool.t -> ?cutoff:int -> Program.t -> size:int -> state
+(** [f_n(empty)] — the initial state for universe [{0..size-1}],
+    evaluating on [pool]. The pool is borrowed, not owned: several
+    states may share one (their requests must not be interleaved from
+    different threads), and shutting it down is the caller's business.
+    [cutoff] (default {!Dynfo_engine.Par_eval.default_cutoff}) is the
+    smallest tuple space, or dirty frontier, worth fanning out across
+    the pool's lanes; [~cutoff:0] forces the parallel path. *)
 
 val structure : state -> Structure.t
 (** The full combined structure (input + auxiliary relations). *)
@@ -195,9 +203,10 @@ val enable_muddle :
 (** Arm muddle-through on this state. [rebuild p st req] is the full
     recompute the background thread runs — it must equal the sequential
     semantics of applying [req] to [st] (the default runs the blown
-    step on the program's delta-plan fallback backend; the engine layer
-    can inject a pool-parallel one). The returned state shares its
-    muddle bookkeeping with all states derived from it by {!step}. *)
+    step on the program's delta-plan fallback backend, on the one-lane
+    pool: the stepping thread may be driving the state's own). The
+    returned state shares its muddle bookkeeping with all states
+    derived from it by {!step}. *)
 
 val muddle_enabled : state -> bool
 
@@ -217,24 +226,6 @@ val muddle_rebuilds : unit -> int
     stats report. *)
 
 val reset_muddle_counters : unit -> unit
-
-val step_with :
-  rules_define:
-    (Structure.t ->
-    env:(string * int) list ->
-    Program.rule list ->
-    (string * Relation.t) list) ->
-  state ->
-  Request.t ->
-  state
-(** {!step} with the evaluation of rule blocks delegated to
-    [rules_define st ~env rules]. Each temporary is passed through it as
-    a one-rule block (seeing the pre-state plus earlier temporaries);
-    the simultaneous block's rules each read only the pre-update
-    structure, so [rules_define] may evaluate them in any order — or in
-    parallel, which is how {!Dynfo_engine.Par_runner} reuses the request
-    dispatch and default input-maintenance logic here without duplicating
-    it. [step] is [step_with] over the chosen backend's [define]. *)
 
 val run : ?backend:backend -> state -> Request.t list -> state
 
@@ -291,11 +282,13 @@ val step_batch_full :
     installed oracle for this batch (the serving layer's FIFO mode
     passes {!null_oracle} to keep a measurable baseline). *)
 
-val restore : Program.t -> Structure.t -> state
+val restore :
+  ?pool:Dynfo_engine.Pool.t -> ?cutoff:int -> Program.t -> Structure.t -> state
 (** Adopt a deserialized combined structure (snapshot restore) as the
-    current state. Raises [Invalid_argument] if the structure does not
-    expose the program's whole input+aux vocabulary — the same check
-    {!init} applies to [f_n(empty)]. *)
+    current state, evaluating on [pool] as in {!init}. Raises
+    [Invalid_argument] if the structure does not expose the program's
+    whole input+aux vocabulary — the same check {!init} applies to
+    [f_n(empty)]. *)
 
 val query : ?backend:backend -> state -> bool
 (** Evaluate the program's boolean query sentence. *)
@@ -308,9 +301,6 @@ val step_work : ?backend:backend -> state -> Request.t -> state * int
 (** Like {!step} but also returns the work the update performed — atomic
     FO evaluations under [`Tuple], machine words under [`Bulk], a mix of
     both under [`Delta] (see {!Dynfo_logic.Eval.work}). *)
-
-val step_batch_work : ?backend:backend -> state -> Request.t list -> state * int
-(** {!step_batch} plus the work of the whole tick. *)
 
 val run_work :
   ?backend:backend -> state -> Request.t list -> state * int list

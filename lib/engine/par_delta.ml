@@ -15,7 +15,7 @@ open Dynfo_logic
    accumulated per lane and merged into the persistent base
    sequentially — the same splice a 1-lane run does.
 
-   Never called with rules fanned across lanes: Par_runner evaluates
+   Never called with rules fanned across lanes: the runner evaluates
    delta rules in order, parallelism lives inside each rule, because the
    pool is not reentrant. *)
 

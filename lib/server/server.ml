@@ -193,11 +193,11 @@ let dispatch t (cmd : Wire.cmd) : (string * Json.t) list =
   | Restore { session; path; backend; engine; coalesce } ->
       let loaded = Snapshot.load ~path in
       let p = find_program t loaded.Snapshot.snap_program in
-      let inner = Runner.restore p loaded.Snapshot.snap_structure in
       let steps = loaded.Snapshot.snap_steps in
       create_session t ~session ~engine (fun ?pool id ->
           Session.of_state ~id ~name:loaded.Snapshot.snap_program ?pool
-            ~backend ~coalesce ~steps inner)
+            ~backend ~coalesce ~steps
+            (Runner.restore ?pool p loaded.Snapshot.snap_structure))
       @ [ ("steps", Json.Int steps) ]
   | Stats { session } ->
       let s = lookup t session in

@@ -1,6 +1,5 @@
 open Dynfo_logic
 open Dynfo
-module Par_runner = Dynfo_engine.Par_runner
 
 (* One live session: a runner instance plus a dedicated worker thread
    draining a FIFO job queue. Connection threads submit jobs and block
@@ -24,13 +23,12 @@ module Par_runner = Dynfo_engine.Par_runner
    the strictly order-preserving drain (and passes the null oracle to
    the runner) — the measurable baseline for bench E24. *)
 
-(* The PR-1 domain pool is not reentrant and must be driven by one
-   caller at a time, but all [`Par] sessions of a server share one
-   pool — so every call into [Par_runner] anywhere in the process takes
-   this lock. Sequential sessions never touch it. *)
+(* The domain pool is not reentrant and must be driven by one caller
+   at a time, but all [`Par] sessions of a server share one pool — so
+   every evaluation of a [`Par] session anywhere in the process takes
+   this lock. Sequential sessions evaluate on the runner's inline
+   one-lane pool and never touch it. *)
 let par_lock = Mutex.create ()
-
-type runner = Seq of Runner.state | Par of Par_runner.state
 
 type stats = {
   st_steps : int;  (** singleton requests applied *)
@@ -63,7 +61,7 @@ type t = {
   cond : Condition.t;
   mutable queue : job list;  (* newest first; worker reverses *)
   mutable closing : bool;
-  mutable runner : runner;
+  mutable state : Runner.state;
   mutable steps : int;
   mutable ticks : int;
   mutable coalesced : int;
@@ -86,10 +84,7 @@ let resolved t = t.resolved
 let engine t = t.engine
 let coalesce t = t.coalesce
 
-let inner_state t =
-  match t.runner with Seq s -> s | Par s -> Par_runner.inner s
-
-let structure t = Mutex.protect t.lock (fun () -> Runner.structure (inner_state t))
+let structure t = Mutex.protect t.lock (fun () -> Runner.structure t.state)
 
 let size t = Structure.size (structure t)
 
@@ -111,41 +106,25 @@ let stats t =
 
 (* --- the worker ------------------------------------------------------------ *)
 
+let on_engine t f =
+  match t.engine with `Seq -> f () | `Par -> Mutex.protect par_lock f
+
 let apply_tick t reqs =
-  let backend = (t.resolved :> Runner.backend) in
-  match t.runner with
-  | Seq s ->
-      let oracle =
-        match t.coalesce with
-        | `Commute -> None (* the installed oracle *)
-        | `Fifo -> Some Runner.null_oracle
-      in
-      let s, w, info = Runner.step_batch_full ~backend ?oracle s reqs in
-      (Seq s, w, info)
-  | Par s ->
-      Mutex.protect par_lock (fun () ->
-          let s, w = Eval.with_work (fun () -> Par_runner.step_batch s reqs) in
-          ( Par s,
-            w,
-            {
-              Runner.bi_groups = 0;
-              bi_elided = 0;
-              bi_absorbed = 0;
-              bi_streamed = 0;
-            } ))
+  let oracle =
+    match t.coalesce with
+    | `Commute -> None (* the installed oracle *)
+    | `Fifo -> Some Runner.null_oracle
+  in
+  on_engine t (fun () ->
+      Runner.step_batch_full ~backend:(t.resolved :> Runner.backend) ?oracle
+        t.state reqs)
 
 let run_query t name args =
-  match t.runner with
-  | Seq s -> (
-      let backend = (t.resolved :> Runner.backend) in
+  let backend = (t.resolved :> Runner.backend) in
+  on_engine t (fun () ->
       match name with
-      | None -> Runner.query ~backend s
-      | Some n -> Runner.query_named ~backend s n args)
-  | Par s ->
-      Mutex.protect par_lock (fun () ->
-          match name with
-          | None -> Par_runner.query s
-          | Some n -> Par_runner.query_named s n args)
+      | None -> Runner.query ~backend t.state
+      | Some n -> Runner.query_named ~backend t.state n args)
 
 (* A maximal run of leading update jobs, validated per job: invalid
    jobs are answered with their error immediately and contribute
@@ -171,7 +150,7 @@ let dedupe oracle batch =
 
 let process_updates t updates =
   let p = t.program in
-  let size = Structure.size (Runner.structure (inner_state t)) in
+  let size = Structure.size (Runner.structure t.state) in
   let valid, invalid =
     List.partition
       (fun (reqs, _) -> Request.valid_batch p.input_vocab ~size reqs)
@@ -195,9 +174,9 @@ let process_updates t updates =
         | `Fifo -> (submitted, 0)
       in
       match apply_tick t batch with
-      | runner, w, info ->
+      | state, w, info ->
           Mutex.protect t.lock (fun () ->
-              t.runner <- runner;
+              t.state <- state;
               t.steps <- t.steps + List.length submitted;
               t.ticks <- t.ticks + 1;
               t.coalesced <- t.coalesced + List.length valid - 1;
@@ -221,7 +200,7 @@ let process_job t = function
           reply (Ok r)
       | exception e -> reply (Error e))
   | J_snapshot (path, reply) -> (
-      let st = Runner.structure (inner_state t) in
+      let st = Runner.structure t.state in
       let steps = Mutex.protect t.lock (fun () -> t.steps) in
       match Snapshot.save ~path ~program:t.name ~steps st with
       | bytes -> reply (Ok bytes)
@@ -248,7 +227,7 @@ let rec process_fifo t jobs =
    answers the pending queries in order. *)
 let process_commute t jobs =
   let oracle = Runner.commute_oracle t.program in
-  let size = Structure.size (Runner.structure (inner_state t)) in
+  let size = Structure.size (Runner.structure t.state) in
   let acc = ref [] (* update jobs, newest first *) in
   let pending = ref [] (* query jobs, newest first *) in
   let hoisted = ref 0 in
@@ -315,9 +294,10 @@ let spawn t =
   t.worker <- Some (Thread.create worker_loop t);
   t
 
-let make ~id ~name ?pool ~backend ~coalesce (p : Program.t) runner_of =
+let make ~id ~name ?pool ~backend ~coalesce state =
+  let p = Runner.program state in
   let resolved = Runner.resolve_backend p backend in
-  let engine, runner = runner_of ~resolved pool in
+  let engine = match pool with None -> `Seq | Some _ -> `Par in
   (* warm the oracles (and their model-checked matrices) before
      serving: the analyses run once per program, not under the first
      client's call. Any op hits the whole Defchange matrix. *)
@@ -344,7 +324,7 @@ let make ~id ~name ?pool ~backend ~coalesce (p : Program.t) runner_of =
       cond = Condition.create ();
       queue = [];
       closing = false;
-      runner;
+      state;
       steps = 0;
       ticks = 0;
       coalesced = 0;
@@ -361,27 +341,10 @@ let make ~id ~name ?pool ~backend ~coalesce (p : Program.t) runner_of =
 
 let create ~id ~name ?pool ~backend ?(coalesce = `Commute) (p : Program.t)
     ~size =
-  make ~id ~name ?pool ~backend ~coalesce p (fun ~resolved pool ->
-      match pool with
-      | None -> (`Seq, Seq (Runner.init p ~size))
-      | Some pool ->
-          ( `Par,
-            Par
-              (Par_runner.init pool ~backend:(resolved :> Runner.backend) p
-                 ~size) ))
+  make ~id ~name ?pool ~backend ~coalesce (Runner.init ?pool p ~size)
 
-let of_state ~id ~name ?pool ~backend ?(coalesce = `Commute) ~steps inner =
-  let t =
-    make ~id ~name ?pool ~backend ~coalesce (Runner.program inner)
-      (fun ~resolved pool ->
-        match pool with
-        | None -> (`Seq, Seq inner)
-        | Some pool ->
-            ( `Par,
-              Par
-                (Par_runner.wrap pool ~backend:(resolved :> Runner.backend)
-                   inner) ))
-  in
+let of_state ~id ~name ?pool ~backend ?(coalesce = `Commute) ~steps state =
+  let t = make ~id ~name ?pool ~backend ~coalesce state in
   t.steps <- steps;
   t
 

@@ -12,11 +12,13 @@
     order keeps the semantics exactly those of the singleton sequence
     (a query submitted after an update observes it).
 
-    Sessions evaluate on the sequential runner by default; pass [?pool]
-    to run on the parallel engine instead. The pool is shared by all
+    Sessions evaluate on the runner's inline one-lane pool by default
+    ([`Seq]); pass [?pool] to evaluate on a domain pool instead
+    ([`Par]). Both engines run the same [Dynfo.Runner.step_batch] tick
+    and report the same batch statistics. The pool is shared by all
     parallel sessions of a server and is {e not} reentrant, so every
-    call into [Dynfo_engine.Par_runner] process-wide is serialized
-    under one internal lock. *)
+    evaluation of a [`Par] session process-wide is serialized under one
+    internal lock. *)
 
 open Dynfo_logic
 open Dynfo
@@ -66,7 +68,9 @@ val of_state :
   Runner.state ->
   t
 (** Adopt a restored runner state (snapshot restore path); [steps]
-    seeds the request counter with the snapshot's. *)
+    seeds the request counter with the snapshot's. [pool] must be the
+    pool the state evaluates on ([Dynfo.Runner.restore ?pool]): it makes
+    the session a [`Par] one. *)
 
 val id : t -> string
 val name : t -> string

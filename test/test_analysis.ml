@@ -569,11 +569,9 @@ let test_auto_backend_resolution () =
     && String.sub d.Dyn.name (String.length d.Dyn.name - 12) 12
        = "[auto:delta]");
   Dynfo_engine.Pool.with_pool ~lanes:2 (fun pool ->
-      let s =
-        Dynfo_engine.Par_runner.init pool ~backend:`Auto reach_u ~size:5
-      in
+      let d = Dyn.of_program ~pool ~backend:`Auto reach_u in
       check tb "parallel runner resolves at init" true
-        (Dynfo_engine.Par_runner.backend s = `Delta))
+        (String.ends_with ~suffix:"[par-auto:delta]" d.Dyn.name))
 
 let test_auto_matches_tuple () =
   Advisor.install ();

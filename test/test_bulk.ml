@@ -334,7 +334,7 @@ let test_registry_par_bulk_agreement () =
               let impls =
                 Dyn.of_program e.program
                 :: Dyn.of_program ~backend:`Bulk e.program
-                :: Par_runner.dyn pool ~cutoff:0 ~backend:`Bulk e.program
+                :: Dyn.of_program ~pool ~cutoff:0 ~backend:`Bulk e.program
                 :: Option.to_list e.static
               in
               let rng = Random.State.make [| 2028; lanes |] in

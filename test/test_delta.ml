@@ -443,7 +443,7 @@ let test_registry_par_delta_agreement () =
               let impls =
                 Dyn.of_program e.program
                 :: Dyn.of_program ~backend:`Delta e.program
-                :: Par_runner.dyn pool ~cutoff:0 ~backend:`Delta e.program
+                :: Dyn.of_program ~pool ~cutoff:0 ~backend:`Delta e.program
                 :: Option.to_list e.static
               in
               let rng = Random.State.make [| 2031; lanes |] in
@@ -575,8 +575,7 @@ let test_registry_cutoff_resync () =
                   let delta = ref (Runner.init e.program ~size) in
                   let par =
                     ref
-                      (Par_runner.init pool ~cutoff:0 ~backend:`Delta e.program
-                         ~size)
+                      (Runner.init ~pool ~cutoff:0 e.program ~size)
                   in
                   List.iteri
                     (fun i r ->
@@ -585,7 +584,7 @@ let test_registry_cutoff_resync () =
                          else Delta_eval.default_cutoff);
                       seq := Runner.step !seq r;
                       delta := Runner.step ~backend:`Delta !delta r;
-                      par := Par_runner.step !par r;
+                      par := Runner.step ~backend:`Delta !par r;
                       if
                         not
                           (Structure.equal (Runner.structure !seq)
@@ -597,7 +596,7 @@ let test_registry_cutoff_resync () =
                       if
                         not
                           (Structure.equal (Runner.structure !seq)
-                             (Par_runner.structure !par))
+                             (Runner.structure !par))
                       then
                         Alcotest.failf
                           "%s: par-delta diverges after request %d (lanes %d)"

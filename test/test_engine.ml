@@ -105,7 +105,7 @@ let test_registry_parallel_agreement () =
               let size = sweep_sizes e in
               let impls =
                 Dyn.of_program e.program
-                :: Par_runner.dyn pool ~cutoff:0 e.program
+                :: Dyn.of_program ~pool ~cutoff:0 e.program
                 :: Option.to_list e.static
               in
               let rng = Random.State.make [| 2026; lanes |] in
@@ -139,7 +139,7 @@ let test_noop_requests () =
   Pool.with_pool ~lanes:4 (fun pool ->
       let impls =
         [
-          Dyn.of_program e.program; Par_runner.dyn pool ~cutoff:0 e.program;
+          Dyn.of_program e.program; Dyn.of_program ~pool ~cutoff:0 e.program;
         ]
         @ Option.to_list e.static
       in
@@ -160,11 +160,11 @@ let test_step_work_matches_sequential () =
       let reqs = e.workload rng ~size ~length:12 in
       Pool.with_pool ~lanes:4 (fun pool ->
           let seq = ref (Runner.init e.program ~size) in
-          let par = ref (Par_runner.init pool ~cutoff:0 e.program ~size) in
+          let par = ref (Runner.init ~pool ~cutoff:0 e.program ~size) in
           List.iteri
             (fun i r ->
               let s', ws = Runner.step_work !seq r in
-              let p', wp = Par_runner.step_work !par r in
+              let p', wp = Runner.step_work !par r in
               seq := s';
               par := p';
               check ti

@@ -222,8 +222,8 @@ let test_registry_paged_lockstep () =
                       Dyn.of_program e.program;
                       Dyn.of_program ~backend:`Bulk e.program;
                       Dyn.of_program ~backend:`Delta e.program;
-                      Par_runner.dyn pool ~cutoff:0 ~backend:`Bulk e.program;
-                      Par_runner.dyn pool ~cutoff:0 ~backend:`Delta
+                      Dyn.of_program ~pool ~cutoff:0 ~backend:`Bulk e.program;
+                      Dyn.of_program ~pool ~cutoff:0 ~backend:`Delta
                         e.program;
                     ]
                   in

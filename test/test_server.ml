@@ -346,16 +346,10 @@ let test_par_batch () =
   let reqs = e.workload rng ~size:7 ~length:24 in
   Dynfo_engine.Pool.with_pool ~lanes:2 (fun pool ->
       let seq = Runner.run (Runner.init e.program ~size:7) reqs in
-      let par =
-        Dynfo_engine.Par_runner.step_batch
-          (Dynfo_engine.Par_runner.init pool e.program ~size:7)
-          reqs
-      in
-      check tb "par batch answers" (Runner.query seq)
-        (Dynfo_engine.Par_runner.query par);
+      let par = Runner.step_batch (Runner.init ~pool e.program ~size:7) reqs in
+      check tb "par batch answers" (Runner.query seq) (Runner.query par);
       check tb "par batch structures" true
-        (Structure.equal (Runner.structure seq)
-           (Dynfo_engine.Par_runner.structure par)))
+        (Structure.equal (Runner.structure seq) (Runner.structure par)))
 
 (* --- sessions -------------------------------------------------------------- *)
 
@@ -454,6 +448,65 @@ let test_session_dedupe () =
   check tb "fifo reaches the same state" true
     (Structure.equal (Runner.structure offline) (Session.structure fifo));
   Session.close fifo
+
+(* A [`Par] session runs the very same batch pipeline as a [`Seq] one:
+   the same answers and the same planning statistics, in both drain
+   modes — including elision of verified no-ops, [`Fifo]'s null oracle
+   and the defchange [`Stream] verdicts. *)
+let test_session_par_matches_seq () =
+  Dynfo_analysis.Advisor.install ();
+  Dynfo_analysis.Commute.install ();
+  Dynfo_analysis.Defchange.install ();
+  Fun.protect ~finally:(fun () ->
+      Runner.set_defchange_oracle (fun _ _ _ -> `Fold))
+  @@ fun () ->
+  let e = Registry.find "parity" in
+  let size = 8 in
+  let ins a = Request.ins "M" [ a ] and del a = Request.del "M" [ a ] in
+  let batches =
+    [
+      [ ins 0; ins 0; ins 1; del 2; ins 3 ];
+      [ del 0; del 0; ins 1; ins 4; del 3 ];
+      [ ins 5; del 5; ins 5; ins 6; del 1 ];
+    ]
+  in
+  Dynfo_engine.Pool.with_pool ~lanes:2 (fun pool ->
+      List.iter
+        (fun (mode, coalesce) ->
+          let run ?pool id =
+            let s =
+              Session.create ~id ~name:"parity" ?pool ~backend:`Delta
+                ~coalesce e.program ~size
+            in
+            let answers =
+              List.map
+                (fun b ->
+                  ignore (Session.update s b);
+                  Session.query s [])
+                batches
+            in
+            let r = (answers, Session.structure s, Session.stats s) in
+            Session.close s;
+            r
+          in
+          let seq_answers, seq_st, seq = run "seq" in
+          let par_answers, par_st, par = run ~pool "par" in
+          check (Alcotest.list tb) (mode ^ ": answers") seq_answers
+            par_answers;
+          check tb (mode ^ ": structures") true (Structure.equal seq_st par_st);
+          check tb (mode ^ ": the tick was planned") true
+            (seq.Session.st_groups > 0 && seq.Session.st_streamed > 0);
+          List.iter
+            (fun (what, f) ->
+              check ti (Printf.sprintf "%s: %s" mode what) (f seq) (f par))
+            [
+              ("groups", fun st -> st.Session.st_groups);
+              ("elided", fun st -> st.Session.st_elided);
+              ("absorbed", fun st -> st.Session.st_absorbed);
+              ("streamed", fun st -> st.Session.st_streamed);
+              ("deduped", fun st -> st.Session.st_deduped);
+            ])
+        [ ("commute", `Commute); ("fifo", `Fifo) ])
 
 (* two independent input relations feeding disjoint auxiliaries, with a
    named query per side: updates on one side are provably invisible to
@@ -714,6 +767,8 @@ let () =
             test_session_concurrent;
           Alcotest.test_case "queue-drain dedupe batch law" `Quick
             test_session_dedupe;
+          Alcotest.test_case "par sessions batch like seq ones" `Quick
+            test_session_par_matches_seq;
           Alcotest.test_case "mixed update/query traffic" `Quick
             test_session_mixed_traffic;
         ] );
