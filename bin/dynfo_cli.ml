@@ -468,17 +468,6 @@ let run_cmd =
 (* --- check --------------------------------------------------------------- *)
 
 let check_cmd =
-  let muddle_arg =
-    Arg.(
-      value & flag
-      & info [ "muddle" ]
-          ~doc:
-            "Arm muddle-through on the work-measuring pass: a delta step \
-             that blows $(b,--delta-cutoff) hands its full recompute to \
-             a background rebuild and answers from the stale structure \
-             meanwhile; the drained result is checked against the purely \
-             sequential run (exit 1 on divergence).")
-  in
   let length_arg =
     Arg.(value & opt int 200 & info [ "length" ] ~docv:"L"
            ~doc:"Number of random requests.")
@@ -499,7 +488,7 @@ let check_cmd =
           ~doc:"Problem to check (or $(b,--all) for the whole registry).")
   in
   let check_entry pool (e : Registry.entry) ~size_opt ~length ~seed ~cutoff
-      ~backend ~muddle =
+      ~backend =
     let size = Option.value ~default:e.default_size size_opt in
     let rng = Random.State.make [| seed |] in
     let reqs = e.workload rng ~size ~length in
@@ -529,12 +518,10 @@ let check_cmd =
         and wc0 = Delta_eval.words_cleared ()
         and sf0 = Delta_eval.small_frontier_hits () in
         let pa0 = Bitrel.pages_allocated ()
-        and sk0 = Bitrel.skip_hits ()
-        and rb0 = Runner.muddle_rebuilds () in
-        let st0 = Runner.init e.program ~size in
-        let st0 = if muddle then Runner.enable_muddle st0 else st0 in
-        let final, works = Runner.run_work ~backend st0 reqs in
-        let final = Runner.await_muddle ~backend final in
+        and sk0 = Bitrel.skip_hits () in
+        let _, works =
+          Runner.run_work ~backend (Runner.init e.program ~size) reqs
+        in
         let total = List.fold_left ( + ) 0 works in
         let steps = max 1 (List.length works) in
         let mx = List.fold_left max 0 works in
@@ -561,41 +548,21 @@ let check_cmd =
               (Delta_eval.words_cleared () - wc0)
         | `Tuple | `Bulk -> ());
         Printf.printf
-          "  page counters: pages allocated %d, skip hits %d, rebuilds %d\n"
+          "  page counters: pages allocated %d, skip hits %d\n"
           (Bitrel.pages_allocated () - pa0)
-          (Bitrel.skip_hits () - sk0)
-          (Runner.muddle_rebuilds () - rb0);
-        let muddle_ok =
-          if not muddle then true
-          else begin
-            (* convergence law: the muddled run, once drained, equals
-               the purely sequential fold over the same requests *)
-            let seq =
-              Runner.run ~backend (Runner.init e.program ~size) reqs
-            in
-            let ok =
-              Structure.equal (Runner.structure final)
-                (Runner.structure seq)
-            in
-            Printf.printf "  muddle: %d rebuild(s), %s\n"
-              (Runner.rebuild_count final)
-              (if ok then "converged to sequential semantics"
-               else "DIVERGED from sequential semantics");
-            ok
-          end
-        in
+          (Bitrel.skip_hits () - sk0);
         let groups = Runner.plan_groups e.program reqs in
         Printf.printf
           "  commute plan: %d group(s) over %d requests (max run %d)\n"
           (List.length groups) (List.length reqs)
           (List.fold_left (fun m g -> max m (List.length g)) 0 groups);
-        muddle_ok
+        true
     | m ->
         Format.printf "%a@." Harness.pp_outcome m;
         false
   in
   let run all entry_opt size_opt length seed domains cutoff backend
-      delta_cutoff bitrel muddle =
+      delta_cutoff bitrel =
     Dynfo_logic.Delta_eval.set_cutoff delta_cutoff;
     Dynfo_logic.Bitrel.set_default_repr bitrel;
     let entries =
@@ -612,7 +579,7 @@ let check_cmd =
               List.fold_left
                 (fun acc e ->
                   check_entry pool e ~size_opt ~length ~seed ~cutoff
-                    ~backend ~muddle
+                    ~backend
                   && acc)
                 true entries
             in
@@ -632,7 +599,7 @@ let check_cmd =
       ret
         (const run $ all_arg $ prog_arg $ size_arg $ length_arg $ seed_arg
        $ domains_arg $ cutoff_arg $ backend_arg $ delta_cutoff_arg
-       $ bitrel_arg $ muddle_arg))
+       $ bitrel_arg))
 
 (* --- optimize ------------------------------------------------------------ *)
 
@@ -681,10 +648,15 @@ let optimize_cmd =
       value & opt int 1
       & info [ "seed" ] ~docv:"S" ~doc:"Random seed for $(b,--verify).")
   in
-  let optimize_entry ~verify ~show ~length ~seed (e : Registry.entry) =
+  (* [~text:false] (under --json) keeps stdout pure JSON: the per-program
+     report is skipped, and a --verify mismatch goes to stderr *)
+  let optimize_entry ~text ~verify ~show ~length ~seed (e : Registry.entry) =
     let rep = Dynfo_analysis.Rewrite.optimize_program e.program in
     let module R = Dynfo_analysis.Rewrite in
-    Printf.printf
+    let pr fmt =
+      if text then Printf.printf fmt else Printf.ifprintf stdout fmt
+    in
+    pr
       "%-16s work n^%d -> n^%d, size %d -> %d, %d rewrite(s), %d \
        temp(s), %d rejection(s)\n"
       e.name rep.R.work_before rep.R.work_after rep.R.size_before
@@ -695,21 +667,21 @@ let optimize_cmd =
       (List.length rep.R.rejections);
     List.iter
       (fun (c : R.change) ->
-        Printf.printf "  %-28s %s\n" c.R.chg_path
+        pr "  %-28s %s\n" c.R.chg_path
           (String.concat ", " c.R.chg_passes);
         if show then (
-          Printf.printf "    before: %s\n"
+          pr "    before: %s\n"
             (Dynfo_logic.Formula.to_string c.R.chg_before);
-          Printf.printf "    after:  %s\n"
+          pr "    after:  %s\n"
             (Dynfo_logic.Formula.to_string c.R.chg_after)))
       rep.R.changes;
     List.iter
       (fun (block, names) ->
-        Printf.printf "  %-28s cse: %s\n" block (String.concat ", " names))
+        pr "  %-28s cse: %s\n" block (String.concat ", " names))
       rep.R.cse_temps;
     List.iter
       (fun (r : R.rejection) ->
-        Printf.printf "  REJECTED %s [%s]: %s\n" r.R.rej_path r.R.rej_pass
+        pr "  REJECTED %s [%s]: %s\n" r.R.rej_path r.R.rej_pass
           r.R.rej_reason)
       rep.R.rejections;
     let verified =
@@ -722,15 +694,16 @@ let optimize_cmd =
           { (Dyn.of_program rep.R.optimized) with name = e.name ^ "+opt" }
         in
         let impls = Registry.impls e @ [ opt_dyn ] in
-        Printf.printf "  verify at n=%d over %d requests (seed %d): %!"
+        pr "  verify at n=%d over %d requests (seed %d): %!"
           size (List.length reqs) seed;
         match Harness.compare_all ~size impls reqs with
         | Harness.Ok n ->
-            Printf.printf "ok (%d checkpoints, %d implementations)\n" n
+            pr "ok (%d checkpoints, %d implementations)\n" n
               (List.length impls);
             true
         | m ->
-            Format.printf "%a@." Harness.pp_outcome m;
+            (if text then Format.printf else Format.eprintf)
+              "%a@." Harness.pp_outcome m;
             false
       end
     in
@@ -749,7 +722,10 @@ let optimize_cmd =
         let module R = Dynfo_analysis.Rewrite in
         let results =
           List.map
-            (fun e -> (e, optimize_entry ~verify ~show ~length ~seed e))
+            (fun e ->
+              ( e,
+                optimize_entry ~text:(not json) ~verify ~show ~length ~seed e
+              ))
             entries
         in
         if json then

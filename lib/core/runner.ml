@@ -1,45 +1,9 @@
 open Dynfo_logic
 open Dynfo_engine
 
-(* --- muddle-through ---------------------------------------------------------
-
-   The "start over and muddle through" strategy (Datta et al.): when an
-   incremental step's frontier blows its budget, the sequential answer
-   is a full recompute — which at paged scale can take arbitrarily long.
-   Instead of paying it inline, the runner can hand the blown step to a
-   background rebuild thread and keep answering queries from the stale
-   structure; every request arriving while the rebuild runs is queued.
-   When the rebuild lands, the queued requests are replayed in order
-   (each replay may itself blow its budget and chain a new rebuild — the
-   queue strictly shrinks, so draining terminates). The convergence law,
-   asserted by the lockstep tests: once drained ([await_muddle]), the
-   structure equals the purely sequential fold of every request, and
-   while muddling every answer equals the sequential answer after some
-   prefix of the requests seen so far — stale, never wrong. *)
-
-type rebuild = {
-  rb_req : Request.t;  (* the step being rebuilt, from its pre-state *)
-  mutable rb_thread : Thread.t option;
-  mutable rb_done : (Structure.t, exn) result option;
-  mutable rb_pending : Request.t list;  (* queued behind it, reversed *)
-}
-
-type muddle = {
-  md_rebuild : Program.t -> Structure.t -> Request.t -> Structure.t;
-  md_lock : Mutex.t;
-  md_cond : Condition.t;
-  mutable md_active : rebuild option;
-  mutable md_count : int;  (* rebuilds spawned on this state *)
-}
-
-let muddle_rebuilds_c = Atomic.make 0
-let muddle_rebuilds () = Atomic.get muddle_rebuilds_c
-let reset_muddle_counters () = Atomic.set muddle_rebuilds_c 0
-
 type state = {
   program : Program.t;
   structure : Structure.t;
-  muddle : muddle option;
   pool : Pool.t;  (* borrowed: never shut down here *)
   cutoff : int;  (* the smallest tuple space worth fanning out *)
 }
@@ -52,7 +16,7 @@ let inline_pool = Pool.create ~lanes:1 ()
 
 let make ?(pool = inline_pool) ?(cutoff = Par_eval.default_cutoff) p
     structure =
-  { program = p; structure; muddle = None; pool; cutoff }
+  { program = p; structure; pool; cutoff }
 
 let init ?pool ?cutoff (p : Program.t) ~size =
   let st = p.init size in
@@ -196,8 +160,6 @@ let full_rules_define s backend st ~env rules =
         (r.target, full_define s backend st ~vars:r.vars ~env r.body))
       rules
 
-exception Budget_blown
-
 (* The delta backend: look each rule up in the block's plan and evaluate
    its dirty frontier only ([Par_delta] chunks it over the pool's
    lanes); anything without a matching framed plan — temporaries (fresh
@@ -205,35 +167,21 @@ exception Budget_blown
    is recomputed in full on the plan's fallback backend. The plan is
    validated against the actual rule (vars + body) so a stale plan for a
    same-named variant of the program degrades to a full recompute
-   instead of misevaluating. [~strict] (muddle-through) refuses inline
-   full recomputes of framed rules: a frontier past the budget raises
-   [Budget_blown] instead of paying it. Temporaries and unframed rules
-   still recompute — that is every delta step's normal cost, not a
-   blowup. *)
-let delta_rules_define ?batch ~strict s (plan : Delta_eval.program_plan)
+   instead of misevaluating. *)
+let delta_rules_define ?batch s (plan : Delta_eval.program_plan)
     block st ~env rules =
   let fallback = plan.Delta_eval.pp_fallback in
   List.map
     (fun (r : Program.rule) ->
-      let rp =
+      let rel =
         match Option.bind block (fun bp -> Delta_eval.rule_plan_for bp r.target)
         with
         | Some rp
           when rp.Delta_eval.rp_vars = r.vars
                && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Some rp
-        | _ -> None
-      in
-      let rel =
-        match rp with
-        | Some rp when strict && rp.Delta_eval.rp_frame <> None -> (
-            match Delta_eval.try_define st ~env rp with
-            | Some rel -> rel
-            | None -> raise Budget_blown)
-        | Some rp ->
             Par_delta.define s.pool ~cutoff:s.cutoff ?batch st ~env ~fallback
               rp
-        | None -> full_define s fallback st ~vars:r.vars ~env r.body
+        | _ -> full_define s fallback st ~vars:r.vars ~env r.body
       in
       (r.target, rel))
     rules
@@ -241,13 +189,13 @@ let delta_rules_define ?batch ~strict s (plan : Delta_eval.program_plan)
 (* The [rules_define] of one request on a concrete backend. Under
    [`Delta] the request's kind and input relation pick the block plan,
    looked up once here rather than per temporary. *)
-let rules_define ?batch ?(strict = false) s backend req =
+let rules_define ?batch s backend req =
   match backend with
   | (`Tuple | `Bulk) as b -> full_rules_define s b
   | `Delta ->
       let plan = !delta_planner s.program in
       let kind, name = op_key req in
-      delta_rules_define ?batch ~strict s plan
+      delta_rules_define ?batch s plan
         (Delta_eval.block_for plan kind name)
 
 let apply_update_with ~rules_define st (u : Program.update) (args : int list)
@@ -338,151 +286,12 @@ let validate_request ~who s req =
       (Printf.sprintf "%s: invalid request %s for program %s" who
          (Request.to_string req) p.name)
 
-(* one step on a concrete backend, muddle-blind *)
-let step_plain resolved s req =
+let step ?(backend = `Tuple) s req =
+  validate_request ~who:"Runner.step" s req;
+  let resolved = resolve_backend s.program backend in
   step_with_unchecked ~rules_define:(rules_define s resolved req) s req
 
-(* --- the muddle-through step ------------------------------------------------ *)
-
-(* must be called with [md.md_lock] held *)
-let spawn_rebuild s md req =
-  Atomic.incr muddle_rebuilds_c;
-  md.md_count <- md.md_count + 1;
-  let p = s.program and base = s.structure in
-  let rb = { rb_req = req; rb_thread = None; rb_done = None; rb_pending = [] }
-  in
-  let t =
-    Thread.create
-      (fun () ->
-        let res =
-          try Ok (md.md_rebuild p base req) with e -> Error e
-        in
-        Mutex.lock md.md_lock;
-        rb.rb_done <- Some res;
-        Condition.broadcast md.md_cond;
-        Mutex.unlock md.md_lock)
-      ()
-  in
-  rb.rb_thread <- Some t;
-  md.md_active <- Some rb
-
-let rec muddle_step resolved s md req =
-  let s = muddle_adopt resolved s md in
-  let enqueued =
-    Mutex.protect md.md_lock (fun () ->
-        match md.md_active with
-        | Some rb ->
-            rb.rb_pending <- req :: rb.rb_pending;
-            true
-        | None -> false)
-  in
-  if enqueued then s (* stale answers until the rebuild lands *)
-  else
-    match
-      step_with_unchecked
-        ~rules_define:(rules_define ~strict:true s resolved req)
-        s req
-    with
-    | s' -> s'
-    | exception Budget_blown ->
-        (* nothing was installed: [step_with_unchecked] is functional,
-           the exception leaves [s] untouched. Hand the whole request to
-           the background rebuild. *)
-        Mutex.protect md.md_lock (fun () -> spawn_rebuild s md req);
-        s
-
-(* adopt a finished rebuild, replaying whatever queued behind it (a
-   replayed step may blow its own budget and chain a fresh rebuild —
-   the pending queue strictly shrinks, so draining terminates) *)
-and muddle_adopt resolved s md =
-  let finished =
-    Mutex.protect md.md_lock (fun () ->
-        match md.md_active with
-        | Some rb when rb.rb_done <> None ->
-            md.md_active <- None;
-            Some rb
-        | _ -> None)
-  in
-  match finished with
-  | None -> s
-  | Some rb ->
-      (match rb.rb_thread with Some t -> Thread.join t | None -> ());
-      let structure =
-        match rb.rb_done with
-        | Some (Ok st) -> st
-        | Some (Error e) -> raise e
-        | None -> assert false
-      in
-      List.fold_left
-        (fun s req -> muddle_step resolved s md req)
-        { s with structure }
-        (List.rev rb.rb_pending)
-
-let step_unchecked ?(backend = `Tuple) s req =
-  let resolved = resolve_backend s.program backend in
-  match s.muddle with
-  | None -> step_plain resolved s req
-  | Some md -> muddle_step resolved s md req
-
-let step ?backend s req =
-  validate_request ~who:"Runner.step" s req;
-  step_unchecked ?backend s req
-
 let run ?backend s reqs = List.fold_left (step ?backend) s reqs
-
-(* --- muddle lifecycle ------------------------------------------------------- *)
-
-(* The rebuild thread evaluates on the inline pool: a pool takes one
-   caller at a time, and the stepping thread may be driving the state's. *)
-let default_rebuild p st req =
-  let fallback = (!delta_planner p).Delta_eval.pp_fallback in
-  (step_plain (fallback :> [ `Tuple | `Bulk | `Delta ]) (make p st) req)
-    .structure
-
-let enable_muddle ?rebuild s =
-  let md_rebuild =
-    match rebuild with Some f -> f | None -> default_rebuild
-  in
-  {
-    s with
-    muddle =
-      Some
-        {
-          md_rebuild;
-          md_lock = Mutex.create ();
-          md_cond = Condition.create ();
-          md_active = None;
-          md_count = 0;
-        };
-  }
-
-let muddle_enabled s = s.muddle <> None
-
-let muddle_active s =
-  match s.muddle with
-  | None -> false
-  | Some md -> Mutex.protect md.md_lock (fun () -> md.md_active <> None)
-
-let rebuild_count s =
-  match s.muddle with
-  | None -> 0
-  | Some md -> Mutex.protect md.md_lock (fun () -> md.md_count)
-
-let rec await_muddle ?(backend = `Delta) s =
-  match s.muddle with
-  | None -> s
-  | Some md ->
-      Mutex.protect md.md_lock (fun () ->
-          let rec wait () =
-            match md.md_active with
-            | Some rb when rb.rb_done = None ->
-                Condition.wait md.md_cond md.md_lock;
-                wait ()
-            | _ -> ()
-          in
-          wait ());
-      let s = muddle_adopt (resolve_backend s.program backend) s md in
-      if muddle_active s then await_muddle ~backend s else s
 
 (* --- commute-aware batch planning ------------------------------------------ *)
 
@@ -582,10 +391,6 @@ let absorb_group s group =
    tick's pre-state first — the "definable changes" simultaneous
    reading — and their singletons planned like any others. *)
 let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
-  (* a batch is one atomic tick: drain any in-flight rebuild first so
-     the tick's pre-state (which set requests expand against) is the
-     fully caught-up one *)
-  let s = await_muddle s in
   List.iter (validate_request ~who:"Runner.step_batch" s) reqs;
   let backend = resolve_backend s.program backend in
   let oracle =

@@ -172,61 +172,6 @@ val step : ?backend:backend -> state -> Request.t -> state
     [backend] selects the evaluator for temporaries and rules (default
     [`Tuple]). *)
 
-(** {1 Muddle-through}
-
-    The "start over and muddle through" strategy (Datta et al.): a
-    [`Delta] step whose frontier blows the budget normally degenerates
-    to an inline full recompute — at paged scale an unbounded latency
-    spike. With muddle-through enabled, that step is instead handed to
-    a {e background rebuild} thread: {!step} returns immediately with
-    the structure unchanged, {!query} keeps answering from the stale
-    structure, and every request arriving while the rebuild runs is
-    queued. The next {!step} (or {!await_muddle}) after the rebuild
-    lands adopts its result and replays the queue in order — a replayed
-    step may blow its own budget and chain a fresh rebuild, but the
-    queue strictly shrinks, so draining terminates.
-
-    Convergence law (asserted by the lockstep tests): after
-    {!await_muddle}, the structure equals the purely sequential
-    [run ~backend:`Delta] over the same requests; while muddling, every
-    query answer equals the sequential answer after some {e prefix} of
-    the requests seen so far — stale, never wrong. {!step_batch}
-    drains any in-flight rebuild before its tick, so batch semantics
-    are unchanged. Work counters measured while a rebuild thread is
-    running include the rebuild's work (the threads share the domain's
-    counter). *)
-
-val enable_muddle :
-  ?rebuild:(Program.t -> Structure.t -> Request.t -> Structure.t) ->
-  state ->
-  state
-(** Arm muddle-through on this state. [rebuild p st req] is the full
-    recompute the background thread runs — it must equal the sequential
-    semantics of applying [req] to [st] (the default runs the blown
-    step on the program's delta-plan fallback backend, on the one-lane
-    pool: the stepping thread may be driving the state's own). The
-    returned state shares its muddle bookkeeping with all states
-    derived from it by {!step}. *)
-
-val muddle_enabled : state -> bool
-
-val muddle_active : state -> bool
-(** Is a background rebuild currently in flight (answers are stale)? *)
-
-val await_muddle : ?backend:backend -> state -> state
-(** Block until no rebuild is in flight, adopting results and replaying
-    queued requests (on [backend], default [`Delta]) until drained. The
-    identity when muddle-through is off or idle. *)
-
-val rebuild_count : state -> int
-(** Rebuilds spawned on this state's muddle bookkeeping (0 when off). *)
-
-val muddle_rebuilds : unit -> int
-(** Process-wide rebuild count — the counter [check] and the daemon
-    stats report. *)
-
-val reset_muddle_counters : unit -> unit
-
 val run : ?backend:backend -> state -> Request.t list -> state
 
 val step_batch :

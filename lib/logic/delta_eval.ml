@@ -829,14 +829,3 @@ let define ?(fallback = `Tuple) st ?(env = []) ?batch (plan : rule_plan) =
           | `Tuples tups -> splice_tuples ~test ~base tups
           | `Mask mask -> splice ~test ~base mask
           | `Mask_words (mask, words) -> splice_words ~test ~base mask words)
-
-let try_define st ?(env = []) ?batch (plan : rule_plan) =
-  match plan.rp_frame with
-  | None -> None
-  | Some _ ->
-      with_state st ~env ?batch plan (fun ~test ~base fr ->
-          match fr with
-          | `Full -> None
-          | `Tuples tups -> Some (splice_tuples ~test ~base tups)
-          | `Mask mask -> Some (splice ~test ~base mask)
-          | `Mask_words (mask, words) -> Some (splice_words ~test ~base mask words))

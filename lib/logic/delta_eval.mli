@@ -313,16 +313,3 @@ val define :
     Compile-time errors of the body (unknown relation, arity, unbound
     variable) are raised exactly as a full evaluation would raise them,
     even when the frontier is empty. *)
-
-val try_define :
-  Structure.t ->
-  ?env:(string * int) list ->
-  ?batch:batch ->
-  rule_plan ->
-  Relation.t option
-(** {!define} that {e refuses} instead of recomputing: [None] when the
-    rule has no frame or its frontier blows the budget, [Some] (equal
-    to {!define}'s result) otherwise. The runner's muddle-through mode
-    probes every rule of a step through this before committing — a
-    [None] means the step would degenerate to a full recompute, which
-    muddle-through hands to a background rebuild instead. *)

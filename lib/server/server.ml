@@ -227,10 +227,9 @@ let dispatch t (cmd : Wire.cmd) : (string * Json.t) list =
         ( "delta_small_frontier_hits",
           Json.Int (Dynfo_logic.Delta_eval.small_frontier_hits ()) );
         (* process-wide paged-bitset counters: page-table residency and
-           kernel skip effectiveness, plus muddle-through rebuilds *)
+           kernel skip effectiveness *)
         ("pages_allocated", Json.Int (Dynfo_logic.Bitrel.pages_allocated ()));
         ("page_skip_hits", Json.Int (Dynfo_logic.Bitrel.skip_hits ()));
-        ("muddle_rebuilds", Json.Int (Runner.muddle_rebuilds ()));
       ]
   | List_sessions ->
       let rows =

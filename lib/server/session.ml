@@ -19,9 +19,9 @@ open Dynfo
    deduplicated before stepping; and the tick itself runs under the
    oracle ([Runner.step_batch]'s planner groups commuting requests and
    elides verified no-ops). Submitters are always answered
-   individually, with their original request counts. [`Fifo] restores
-   the strictly order-preserving drain (and passes the null oracle to
-   the runner) — the measurable baseline for bench E24. *)
+   individually, with their original request counts. [`Fifo] is the same
+   drain under the null oracle — strictly order-preserving, the
+   measurable baseline for bench E24. *)
 
 (* The domain pool is not reentrant and must be driven by one caller
    at a time, but all [`Par] sessions of a server share one pool — so
@@ -109,14 +109,9 @@ let stats t =
 let on_engine t f =
   match t.engine with `Seq -> f () | `Par -> Mutex.protect par_lock f
 
-let apply_tick t reqs =
-  let oracle =
-    match t.coalesce with
-    | `Commute -> None (* the installed oracle *)
-    | `Fifo -> Some Runner.null_oracle
-  in
+let apply_tick t oracle reqs =
   on_engine t (fun () ->
-      Runner.step_batch_full ~backend:(t.resolved :> Runner.backend) ?oracle
+      Runner.step_batch_full ~backend:(t.resolved :> Runner.backend) ~oracle
         t.state reqs)
 
 let run_query t name args =
@@ -125,13 +120,6 @@ let run_query t name args =
       match name with
       | None -> Runner.query ~backend t.state
       | Some n -> Runner.query_named ~backend t.state n args)
-
-(* A maximal run of leading update jobs, validated per job: invalid
-   jobs are answered with their error immediately and contribute
-   nothing; the valid remainder forms one batch. *)
-let rec split_updates acc = function
-  | J_update (reqs, reply) :: rest -> split_updates ((reqs, reply) :: acc) rest
-  | rest -> (List.rev acc, rest)
 
 (* Collapse back-to-back identical requests of verified-idempotent ops:
    [r; r ≡ r] by the oracle's law, so the second frontier evaluation is
@@ -148,7 +136,7 @@ let dedupe oracle batch =
   in
   go [] 0 batch
 
-let process_updates t updates =
+let process_updates t oracle updates =
   let p = t.program in
   let size = Structure.size (Runner.structure t.state) in
   let valid, invalid =
@@ -168,12 +156,8 @@ let process_updates t updates =
   | [] -> ()
   | _ -> (
       let submitted = List.concat_map fst valid in
-      let batch, dropped =
-        match t.coalesce with
-        | `Commute -> dedupe (Runner.commute_oracle p) submitted
-        | `Fifo -> (submitted, 0)
-      in
-      match apply_tick t batch with
+      let batch, dropped = dedupe oracle submitted in
+      match apply_tick t oracle batch with
       | state, w, info ->
           Mutex.protect t.lock (fun () ->
               t.state <- state;
@@ -206,33 +190,28 @@ let process_job t = function
       | bytes -> reply (Ok bytes)
       | exception e -> reply (Error e))
 
-let rec process_fifo t jobs =
-  match jobs with
-  | [] -> ()
-  | J_update _ :: _ ->
-      let updates, rest = split_updates [] jobs in
-      process_updates t updates;
-      process_fifo t rest
-  | job :: rest ->
-      process_job t job;
-      process_fifo t rest
-
-(* The commute-aware drain. Updates accumulate across the whole drained
-   queue slice: an update may overtake the queries queued before it when
-   every request is verified invisible to every pending query (the
-   answers are then unchanged by construction — see DESIGN S25), so
-   non-adjacent update jobs still coalesce into one tick. A
-   non-hoistable update, or a snapshot (a barrier: it must observe
-   exactly the prefix's effects), flushes the accumulated tick and
-   answers the pending queries in order. *)
-let process_commute t jobs =
-  let oracle = Runner.commute_oracle t.program in
+(* The drain. Updates accumulate across the whole drained queue slice:
+   an update may overtake the queries queued before it when every
+   request is verified invisible to every pending query (the answers are
+   then unchanged by construction — see DESIGN S25), so non-adjacent
+   update jobs still coalesce into one tick. A non-hoistable update, or
+   a snapshot (a barrier: it must observe exactly the prefix's effects),
+   flushes the accumulated tick and answers the pending queries in
+   order. A [`Fifo] session drains under the null oracle, which licenses
+   nothing: no request is hoisted, deduplicated, regrouped or elided, so
+   only adjacent update jobs share a tick. *)
+let drain t jobs =
+  let oracle =
+    match t.coalesce with
+    | `Commute -> Runner.commute_oracle t.program
+    | `Fifo -> Runner.null_oracle
+  in
   let size = Structure.size (Runner.structure t.state) in
   let acc = ref [] (* update jobs, newest first *) in
   let pending = ref [] (* query jobs, newest first *) in
   let hoisted = ref 0 in
   let flush () =
-    if !acc <> [] then process_updates t (List.rev !acc);
+    if !acc <> [] then process_updates t oracle (List.rev !acc);
     acc := [];
     List.iter (process_job t) (List.rev !pending);
     pending := []
@@ -269,11 +248,6 @@ let process_commute t jobs =
   if !hoisted > 0 then
     Mutex.protect t.lock (fun () -> t.hoisted <- t.hoisted + !hoisted)
 
-let process t jobs =
-  match t.coalesce with
-  | `Fifo -> process_fifo t jobs
-  | `Commute -> process_commute t jobs
-
 let rec worker_loop t =
   Mutex.lock t.lock;
   while t.queue = [] && not t.closing do
@@ -284,7 +258,7 @@ let rec worker_loop t =
   let stop = jobs = [] && t.closing in
   Mutex.unlock t.lock;
   if not stop then begin
-    process t jobs;
+    drain t jobs;
     worker_loop t
   end
 
@@ -299,18 +273,17 @@ let make ~id ~name ?pool ~backend ~coalesce state =
   let resolved = Runner.resolve_backend p backend in
   let engine = match pool with None -> `Seq | Some _ -> `Par in
   (* warm the oracles (and their model-checked matrices) before
-     serving: the analyses run once per program, not under the first
-     client's call. Any op hits the whole Defchange matrix. *)
-  (match coalesce with
-  | `Commute -> (
-      ignore (Runner.commute_oracle p);
-      match Vocab.relations p.input_vocab with
-      | (s : Vocab.sym) :: _ -> ignore (Runner.defchange_verdict p `Ins s.name)
-      | [] -> (
-          match Vocab.constants p.input_vocab with
-          | c :: _ -> ignore (Runner.defchange_verdict p `Set c)
-          | [] -> ()))
-  | `Fifo -> ());
+     serving, in both drain modes: the analyses run once per program,
+     not under the first client's call — a [`Fifo] tick ignores the
+     commute oracle but still consults the installed Defchange one. Any
+     op hits the whole Defchange matrix. *)
+  ignore (Runner.commute_oracle p);
+  (match Vocab.relations p.input_vocab with
+  | (s : Vocab.sym) :: _ -> ignore (Runner.defchange_verdict p `Ins s.name)
+  | [] -> (
+      match Vocab.constants p.input_vocab with
+      | c :: _ -> ignore (Runner.defchange_verdict p `Set c)
+      | [] -> ()));
   spawn
     {
       id;

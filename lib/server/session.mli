@@ -12,6 +12,13 @@
     order keeps the semantics exactly those of the singleton sequence
     (a query submitted after an update observes it).
 
+    There is one drain. In the default [`Commute] mode it runs under
+    the installed commute oracle, whose verified laws let updates
+    overtake queries they cannot affect, collapse idempotent
+    duplicates, and regroup or elide requests inside the tick. [`Fifo]
+    runs the same drain under [Dynfo.Runner.null_oracle], which licenses
+    none of that.
+
     Sessions evaluate on the runner's inline one-lane pool by default
     ([`Seq]); pass [?pool] to evaluate on a domain pool instead
     ([`Par]). Both engines run the same [Dynfo.Runner.step_batch] tick
@@ -55,8 +62,10 @@ val create :
 (** Fresh session over [f_n(empty)]; spawns the worker thread. [name]
     is the external (registry) name the program was found by — it is
     what snapshots record, so a restore can find the program again.
-    [coalesce] (default [`Commute]) selects the drain mode; [`Commute]
-    warms the program's commutativity matrix before serving. *)
+    [coalesce] (default [`Commute]) selects the drain mode: [`Fifo] is
+    the same drain under [Dynfo.Runner.null_oracle], so no request is
+    hoisted, deduplicated, regrouped or elided. Both modes warm the
+    program's commute and Defchange matrices before serving. *)
 
 val of_state :
   id:string ->

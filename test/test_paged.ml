@@ -3,8 +3,7 @@
    over random op sequences and page-straddling spaces, the wire-format
    identity (a paged slab serializes byte-for-byte like the dense one),
    the whole registry stepped in lockstep with paged as the process
-   default at 1/2/4 lanes, the muddle-through convergence and
-   stale-prefix laws, page accounting, and the snapshot size
+   default at 1/2/4 lanes, page accounting, and the snapshot size
    regression — a paged-scale relation must snapshot at O(cardinality),
    never O(tuple space). *)
 
@@ -21,12 +20,6 @@ let with_repr r f =
   let old = Bitrel.default_repr () in
   Bitrel.set_default_repr r;
   Fun.protect ~finally:(fun () -> Bitrel.set_default_repr old) f
-
-let with_cutoff c f =
-  Delta_eval.set_cutoff c;
-  Fun.protect
-    ~finally:(fun () -> Delta_eval.set_cutoff Delta_eval.default_cutoff)
-    f
 
 (* universe sizes that put the tuple space across >= 2 pages (a page is
    4032 codes) at every arity, so every kernel's page-boundary handling
@@ -237,87 +230,6 @@ let test_registry_paged_lockstep () =
                 [ "parity"; "reach_u"; "matching"; "semi_reach" ]))
         [ 1; 2; 4 ])
 
-(* --- muddle-through ------------------------------------------------------ *)
-
-(* cutoff 0 makes every non-trivial delta frontier blow its budget, so
-   each framed singleton step spawns a background rebuild: the maximal
-   muddle stress *)
-let test_muddle_convergence () =
-  Dynfo_analysis.Advisor.install ();
-  with_cutoff 0. (fun () ->
-      let e = Registry.find "semi_reach" in
-      let size = 8 in
-      let rng = Random.State.make [| 4242 |] in
-      let reqs = e.Registry.workload rng ~size ~length:120 in
-      let md = ref (Runner.enable_muddle (Runner.init e.program ~size)) in
-      let seq = ref (Runner.init e.program ~size) in
-      List.iter
-        (fun r ->
-          md := Runner.step ~backend:`Delta !md r;
-          seq := Runner.step ~backend:`Delta !seq r)
-        reqs;
-      let final = Runner.await_muddle ~backend:`Delta !md in
-      check tb "converged to sequential semantics" true
-        (Structure.equal (Runner.structure final) (Runner.structure !seq));
-      check tb "rebuilds actually happened" true
-        (Runner.rebuild_count final > 0);
-      check tb "drained" false (Runner.muddle_active final))
-
-let test_muddle_stale_prefix () =
-  Dynfo_analysis.Advisor.install ();
-  with_cutoff 0. (fun () ->
-      let e = Registry.find "semi_reach" in
-      let size = 6 in
-      let rng = Random.State.make [| 777 |] in
-      let reqs = e.Registry.workload rng ~size ~length:60 in
-      (* sequential prefix states: prefixes.(j) = after the first j *)
-      let n = List.length reqs in
-      let prefixes = Array.make (n + 1) (Runner.init e.program ~size) in
-      List.iteri
-        (fun i r ->
-          prefixes.(i + 1) <- Runner.step ~backend:`Delta prefixes.(i) r)
-        reqs;
-      let md = ref (Runner.enable_muddle (Runner.init e.program ~size)) in
-      List.iteri
-        (fun i r ->
-          md := Runner.step ~backend:`Delta !md r;
-          let stale = Runner.structure !md in
-          let is_prefix = ref false in
-          for j = 0 to i + 1 do
-            if
-              (not !is_prefix)
-              && Structure.equal stale (Runner.structure prefixes.(j))
-            then is_prefix := true
-          done;
-          if not !is_prefix then
-            Alcotest.failf
-              "after request %d the muddled structure matches no \
-               sequential prefix"
-              i)
-        reqs)
-
-let test_muddle_batch_drains () =
-  Dynfo_analysis.Advisor.install ();
-  with_cutoff 0. (fun () ->
-      let e = Registry.find "semi_reach" in
-      let size = 6 in
-      let rng = Random.State.make [| 99 |] in
-      let reqs = e.Registry.workload rng ~size ~length:30 in
-      let singles = List.filteri (fun i _ -> i < 20) reqs in
-      let batch = List.filteri (fun i _ -> i >= 20) reqs in
-      let fold st = List.fold_left (Runner.step ~backend:`Delta) st singles in
-      let md = fold (Runner.enable_muddle (Runner.init e.program ~size)) in
-      (* the batch tick must drain the in-flight rebuild first *)
-      let md = Runner.step_batch ~backend:`Delta md batch in
-      let md = Runner.await_muddle ~backend:`Delta md in
-      let seq =
-        Runner.step_batch ~backend:`Delta
-          (fold (Runner.init e.program ~size))
-          batch
-      in
-      check tb "batch on a muddling state == sequential" true
-        (Structure.equal (Runner.structure md) (Runner.structure seq)))
-
 (* --- page accounting ------------------------------------------------------ *)
 
 let test_page_accounting () =
@@ -394,15 +306,6 @@ let () =
         [
           Alcotest.test_case "registry at 1/2/4 lanes, paged default" `Slow
             test_registry_paged_lockstep;
-        ] );
-      ( "muddle",
-        [
-          Alcotest.test_case "convergence law" `Quick
-            test_muddle_convergence;
-          Alcotest.test_case "stale answers are prefix states" `Quick
-            test_muddle_stale_prefix;
-          Alcotest.test_case "batch drains the rebuild first" `Quick
-            test_muddle_batch_drains;
         ] );
       ( "snapshot",
         [

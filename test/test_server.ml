@@ -508,6 +508,29 @@ let test_session_par_matches_seq () =
             ])
         [ ("commute", `Commute); ("fifo", `Fifo) ])
 
+(* A [`Fifo] session warms the oracles at creation, as a [`Commute] one
+   does: its ticks ignore the commute oracle but still consult the
+   installed Defchange one, so a cold matrix would otherwise be
+   model-checked inside the first client's update. *)
+let test_session_fifo_warms_oracles () =
+  let consulted = ref 0 in
+  Runner.set_defchange_oracle (fun _ _ _ ->
+      incr consulted;
+      `Fold);
+  Fun.protect ~finally:(fun () ->
+      Runner.set_defchange_oracle (fun _ _ _ -> `Fold))
+  @@ fun () ->
+  let e = Registry.find "parity" in
+  let s =
+    Session.create ~id:"w" ~name:"parity" ~backend:`Tuple ~coalesce:`Fifo
+      e.program ~size:8
+  in
+  let at_creation = !consulted in
+  ignore (Session.update s [ Request.ins "M" [ 0 ] ]);
+  Session.close s;
+  check tb "defchange oracle consulted before the first update" true
+    (at_creation > 0)
+
 (* two independent input relations feeding disjoint auxiliaries, with a
    named query per side: updates on one side are provably invisible to
    the other side's query, so the commute drain may let them overtake
@@ -769,6 +792,8 @@ let () =
             test_session_dedupe;
           Alcotest.test_case "par sessions batch like seq ones" `Quick
             test_session_par_matches_seq;
+          Alcotest.test_case "fifo sessions warm the oracles" `Quick
+            test_session_fifo_warms_oracles;
           Alcotest.test_case "mixed update/query traffic" `Quick
             test_session_mixed_traffic;
         ] );
