@@ -6,6 +6,7 @@ type state = {
   structure : Structure.t;
   pool : Pool.t;  (* borrowed: never shut down here *)
   cutoff : int;  (* the smallest tuple space worth fanning out *)
+  cache : Delta_eval.cache;  (* shared by every state stepped from one init *)
 }
 
 (* The pool a state evaluates on unless given one. One lane spawns no
@@ -16,7 +17,7 @@ let inline_pool = Pool.create ~lanes:1 ()
 
 let make ?(pool = inline_pool) ?(cutoff = Par_eval.default_cutoff) p
     structure =
-  { program = p; structure; pool; cutoff }
+  { program = p; structure; pool; cutoff; cache = Delta_eval.new_cache () }
 
 let init ?pool ?cutoff (p : Program.t) ~size =
   let st = p.init size in
@@ -46,13 +47,7 @@ let set_auto_chooser f = auto_chooser := f
 let delta_planner : (Program.t -> Delta_eval.program_plan) ref =
   ref (fun _ -> Delta_eval.conservative_plan)
 
-let set_delta_planner f =
-  delta_planner := f;
-  (* plans key the evaluator's persistent frontier state (testers, mask
-     buffers, anchor caches); a new planner makes the old plans
-     unreachable, so drop the state they pin — an advisor-driven
-     backend/planner switch must not keep stale buffers alive *)
-  Delta_eval.invalidate ()
+let set_delta_planner f = delta_planner := f
 
 let resolve_backend (p : Program.t) (b : backend) =
   match b with
@@ -179,8 +174,8 @@ let delta_rules_define ?batch s (plan : Delta_eval.program_plan)
         | Some rp
           when rp.Delta_eval.rp_vars = r.vars
                && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Par_delta.define s.pool ~cutoff:s.cutoff ?batch st ~env ~fallback
-              rp
+            Par_delta.define s.pool ~cache:s.cache ~cutoff:s.cutoff ?batch st
+              ~env ~fallback rp
         | _ -> full_define s fallback st ~vars:r.vars ~env r.body
       in
       (r.target, rel))
@@ -443,12 +438,6 @@ let restore ?pool ?cutoff (p : Program.t) st =
   (* the snapshot must expose the whole combined vocabulary, exactly as
      [init]'s output does *)
   ignore (Structure.restrict st (Program.vocab p));
-  (* restoring over a live process (the serving daemon's [restore]
-     command) abandons whatever history the delta evaluator's persistent
-     frontier state was tracking; reuse would be sound (state is
-     validated per step), but a restore is a lifecycle boundary — drop
-     the warm caches so they rebuild against the restored world *)
-  Delta_eval.invalidate ();
   make ?pool ?cutoff p st
 
 (* Queries have no frame (there is no previous value of a sentence to be

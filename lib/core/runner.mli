@@ -18,7 +18,15 @@
     and on which those modules fall through to the sequential
     {!Dynfo_logic.Eval}, {!Dynfo_logic.Bulk_eval} and
     {!Dynfo_logic.Delta_eval}. Answers and work counts are the same on
-    any pool: the harness cross-checks them on every registry program. *)
+    any pool: the harness cross-checks them on every registry program.
+
+    A state also carries the delta backend's frontier cache
+    ({!Dynfo_logic.Delta_eval.cache}: compiled testers, anchor caches,
+    dirty masks), as it carries its pool. {!init} and {!restore}
+    create an empty one; every state stepped from them — forks
+    included — shares it, so the cache only ever follows that one
+    runner's history and no other runner, restore or analysis touches
+    it. *)
 
 open Dynfo_logic
 
@@ -54,7 +62,8 @@ val set_delta_planner : (Program.t -> Delta_eval.program_plan) -> unit
     [Dynfo_analysis.Support.plan]). Until then every program gets
     {!Dynfo_logic.Delta_eval.conservative_plan} — no frames, so
     [`Delta] behaves like [`Tuple]. Planners should memoize: the runner
-    consults the planner on every step. *)
+    consults the planner on every step, and a state's frontier cache
+    keeps one entry per physical rule plan it has evaluated. *)
 
 val resolve_backend : Program.t -> backend -> [ `Tuple | `Bulk | `Delta ]
 (** Resolve [`Auto] for a program via the installed chooser; the
@@ -189,8 +198,8 @@ val step_batch :
     validated before anything runs, so an [Invalid_argument] leaves the
     state untouched — and amortised: validation and [`Auto] resolution
     happen once per batch, and the delta backend's memoized testers
-    ([Dynfo_logic.Delta_eval]) compile at most once under the batch's
-    first step and only rebind thereafter.
+    (in the state's frontier cache) compile at most once under the
+    batch's first step and only rebind thereafter.
 
     With a commute oracle installed ({!set_commute_oracle}) the batch is
     additionally planned via {!plan_groups} — the delta backend then
@@ -230,7 +239,8 @@ val step_batch_full :
 val restore :
   ?pool:Dynfo_engine.Pool.t -> ?cutoff:int -> Program.t -> Structure.t -> state
 (** Adopt a deserialized combined structure (snapshot restore) as the
-    current state, evaluating on [pool] as in {!init}. Raises
+    current state, evaluating on [pool] as in {!init}, with an empty
+    frontier cache. Raises
     [Invalid_argument] if the structure does not expose the program's
     whole input+aux vocabulary — the same check {!init} applies to
     [f_n(empty)]. *)

@@ -9,17 +9,17 @@ open Dynfo_logic
    lanes other than 0 compile their own tester (compiled closures
    charge the compiling domain's work counter and own a private slot
    array), lane 0 reuses the state's cached tester. The whole call runs
-   inside [Delta_eval.with_state], i.e. under the state lock — safe
-   because pool lanes never re-enter Delta_eval, and required because
-   the [`Mask_words] buffer is borrowed from the state cache. Flips are
-   accumulated per lane and merged into the persistent base
-   sequentially — the same splice a 1-lane run does.
+   inside [Delta_eval.with_state], i.e. under the lock of the runner's
+   frontier cache — safe because pool lanes never re-enter Delta_eval,
+   and required because the [`Mask_words] buffer is borrowed from that
+   cache. Flips are accumulated per lane and merged into the persistent
+   base sequentially — the same splice a 1-lane run does.
 
    Never called with rules fanned across lanes: the runner evaluates
    delta rules in order, parallelism lives inside each rule, because the
    pool is not reentrant. *)
 
-let define pool ?(cutoff = Par_eval.default_cutoff) ?batch st ~env
+let define pool ~cache ?(cutoff = Par_eval.default_cutoff) ?batch st ~env
     ~(fallback : [ `Tuple | `Bulk ]) (plan : Delta_eval.rule_plan) =
   let full () =
     match fallback with
@@ -29,7 +29,7 @@ let define pool ?(cutoff = Par_eval.default_cutoff) ?batch st ~env
   match plan.Delta_eval.rp_frame with
   | None -> full ()
   | Some _ ->
-      Delta_eval.with_state st ~env ?batch plan (fun ~test ~base fr ->
+      Delta_eval.with_state ~cache st ~env ?batch plan (fun ~test ~base fr ->
           (* fan the frontier words out across lanes; [words] must
              partition the members *)
           let fan_out words =

@@ -10,6 +10,7 @@ open Dynfo_logic
 
 val define :
   Pool.t ->
+  cache:Delta_eval.cache ->
   ?cutoff:int ->
   ?batch:Delta_eval.batch ->
   Structure.t ->
@@ -17,8 +18,9 @@ val define :
   fallback:[ `Tuple | `Bulk ] ->
   Delta_eval.rule_plan ->
   Relation.t
-(** Same result as [Delta_eval.define ~fallback st ~env plan] (the
-    lockstep tests assert it at 1/2/4 lanes). [cutoff] is the frontier
+(** Same result as [Delta_eval.define ~cache ~fallback st ~env plan]
+    (the lockstep tests assert it at 1/2/4 lanes), through the same
+    frontier state in [cache]. [cutoff] is the frontier
     size (in tuples) below which the splice stays sequential — the
     engine-wide {!Par_eval.default_cutoff} by default. [batch] joins a
     {!Dynfo_logic.Delta_eval} batch scope: the accumulated [`Mask_words]

@@ -23,7 +23,8 @@
 
    Wall-clock: the frontier of a framed rule is tiny by construction, so
    the per-step *fixed* costs dominate. They are eliminated by keeping
-   persistent per-(plan, size) state across steps (see [state] below):
+   persistent per-rule state across steps in the caller's [cache] (see
+   [state] below):
    the body tester and every slab guard stay compiled (rebound per
    step), anchor-relation contributions are patched from the previous
    step's Relation.symmetric_diff instead of re-enumerated, the Bitrel
@@ -97,21 +98,11 @@ let set_cutoff f =
 
 let cutoff () = !cutoff_fraction
 
-(* --- small-frontier threshold ---------------------------------------------- *)
-
 (* Largest raw frontier (in tuples, before dedupe) resolved as an
    explicit code list with no Bitrel at all. Calibrated by E25: below a
    few dozen tuples, enumerating codes beats even a persistent mask's
    clear/fill/popcount bookkeeping. *)
-let default_small_limit = 32
-
-let small_limit_r = ref default_small_limit
-
-let set_small_limit k =
-  if k < 0 then invalid_arg "Delta_eval.set_small_limit: negative";
-  small_limit_r := k
-
-let small_limit () = !small_limit_r
+let small_limit = 32
 
 (* --- frontier construction ------------------------------------------------ *)
 
@@ -252,8 +243,6 @@ let mask_reuse_hits () = Atomic.get mask_reuse_hits_c
 let words_cleared_c = Atomic.make 0
 let words_cleared () = Atomic.get words_cleared_c
 let small_frontier_hits_c = Atomic.make 0
-let batch_joins_c = Atomic.make 0
-let batch_joins () = Atomic.get batch_joins_c
 let small_frontier_hits () = Atomic.get small_frontier_hits_c
 
 (* Build the dirty mask for a framed rule, or decide [`Full] — or, when
@@ -388,20 +377,20 @@ let splice_words ~test ~base mask words =
     words;
   !out
 
-(* --- persistent per-(plan, size) frontier state ---------------------------- *)
+(* --- persistent per-rule frontier state ----------------------------------- *)
 
 (* Everything whose construction used to be a fixed per-step cost lives
-   in a [state] record cached across steps, keyed by the physical plan
-   record (plans are memoized per program by the analysis planner) and
-   the universe size. Reuse is sound by construction: testers are
+   in a [state] record cached across steps, one per physical plan record
+   (plans are memoized per program by the analysis planner) in the
+   caller's [cache] — a runner's, so the state only ever sees that
+   runner's history. Reuse is sound by construction: testers are
    rebound (or recompiled on env-name mismatch), anchor caches are
    validated against the current relation value and resolved check/pin
    values, and the scratch mask is zero outside its dirty-word list.
-   The lock is held for the whole evaluation of a rule — compiled
-   testers own mutable slot arrays and the mask is a shared scratch
-   buffer, and the serving daemon evaluates concurrent sessions from
-   systhreads that may interleave at any allocation point. Bounded like
-   the planner's cache: eviction only costs a rebuild. *)
+   The cache's lock is held for the whole evaluation of a rule —
+   compiled testers own mutable slot arrays and the mask is a shared
+   scratch buffer, and states forked from one runner may be stepped
+   from several systhreads that interleave at any allocation point. *)
 
 type anchor_cache = {
   mutable ac_rel : Relation.t;  (* anchor value at last sync *)
@@ -422,7 +411,7 @@ type slab_state = {
    shared dirty mask per rule state instead of clearing and rebuilding it
    per member. Tokens are compared by physical identity and never reused,
    so a stale token left on a state can only ever match its own (dead)
-   batch — no cross-session coordination is needed beyond [memo_lock]. *)
+   batch — no coordination is needed beyond the cache's lock. *)
 type batch = unit ref
 
 let new_batch () : batch = ref ()
@@ -449,24 +438,13 @@ type state = {
   mutable s_batch : batch option;  (* scope of the words in [s_dirty] *)
 }
 
-let states_limit = 256
+type cache = { c_lock : Mutex.t; mutable c_states : state list }
 
-(* target name + size keys the bucket (cheap hash); physical plan
-   identity disambiguates within it *)
-let states : (string * int, state list) Hashtbl.t = Hashtbl.create 64
-let states_count = ref 0
-let memo_lock = Mutex.create ()
+let new_cache () = { c_lock = Mutex.create (); c_states = [] }
 let memo_hits_c = Atomic.make 0
 let memo_misses_c = Atomic.make 0
 let memo_hits () = Atomic.get memo_hits_c
 let memo_misses () = Atomic.get memo_misses_c
-
-let invalidate () =
-  Mutex.protect memo_lock (fun () ->
-      Hashtbl.reset states;
-      states_count := 0)
-
-let cached_states () = Mutex.protect memo_lock (fun () -> !states_count)
 
 let slab_states = function
   | Top -> [||]
@@ -481,12 +459,12 @@ let slab_states = function
              })
            slabs)
 
-(* must be called with [memo_lock] held *)
-let find_state st ~env (plan : rule_plan) =
+(* must be called with [cache.c_lock] held *)
+let find_state cache st ~env (plan : rule_plan) =
   let size = Structure.size st in
-  let key = (plan.rp_target, size) in
-  let bucket () = Option.value ~default:[] (Hashtbl.find_opt states key) in
-  match List.find_opt (fun s -> s.s_plan == plan) (bucket ()) with
+  match
+    List.find_opt (fun s -> s.s_plan == plan && s.s_size = size) cache.c_states
+  with
   | Some s -> (
       match Eval.rebind s.s_tester st ~env with
       | () ->
@@ -507,10 +485,6 @@ let find_state st ~env (plan : rule_plan) =
       let tester =
         Eval.compile_tester st ~vars:plan.rp_vars ~env plan.rp_body
       in
-      if !states_count >= states_limit then begin
-        Hashtbl.reset states;
-        states_count := 0
-      end;
       let arity = List.length plan.rp_vars in
       let f_in, f_out =
         match plan.rp_frame with
@@ -533,8 +507,9 @@ let find_state st ~env (plan : rule_plan) =
           s_batch = None;
         }
       in
-      Hashtbl.replace states key (s :: bucket ());
-      incr states_count;
+      (* one entry per plan: a state of another universe size is dropped *)
+      cache.c_states <-
+        s :: List.filter (fun s' -> s'.s_plan != plan) cache.c_states;
       s
 
 (* Evaluate one guard through its cached compiled tester (guards are
@@ -716,7 +691,7 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
               let emit pins = emits := pins :: !emits in
               Array.iter (resolve_slab_state st env ~size ~arity ~spend emit) s.s_in;
               Array.iter (resolve_slab_state st env ~size ~arity ~spend emit) s.s_out;
-              if !spent <= !small_limit_r then begin
+              if !spent <= small_limit then begin
                 (* mask-free small-frontier path: enumerate the codes
                    directly. [!spent] is the raw (pre-dedupe) frontier,
                    so enumeration is bounded by the threshold. *)
@@ -765,8 +740,7 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
                   | _ -> false
                 in
                 s.s_batch <- batch;
-                if joining then Atomic.incr batch_joins_c
-                else begin
+                if not joining then begin
                   (* clear only the words touched last step — bookkeeping
                      below the work model's resolution (work must not
                      depend on what the previous step left behind) *)
@@ -807,22 +781,23 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
             with Over_budget -> `Full
           end)
 
-let with_state st ?(env = []) ?batch (plan : rule_plan) f =
-  Mutex.protect memo_lock (fun () ->
+let with_state ~cache st ?(env = []) ?batch (plan : rule_plan) f =
+  Mutex.protect cache.c_lock (fun () ->
       (* bind the body's tester before touching guards or the mask: the
          delta path must surface the same compile-time errors (unknown
          relations, arity mismatches, unbound variables) as a full
          evaluation, even when the frontier turns out to be empty *)
-      let s = find_state st ~env plan in
+      let s = find_state cache st ~env plan in
       let base = Structure.rel st plan.rp_target in
       f ~test:(Eval.test_compiled s.s_tester) ~base
         (frontier_state s ?batch st ~env ~base))
 
-let define ?(fallback = `Tuple) st ?(env = []) ?batch (plan : rule_plan) =
+let define ~cache ?(fallback = `Tuple) st ?(env = []) ?batch
+    (plan : rule_plan) =
   match plan.rp_frame with
   | None -> full_define fallback st ~vars:plan.rp_vars ~env plan.rp_body
   | Some _ ->
-      with_state st ~env ?batch plan (fun ~test ~base fr ->
+      with_state ~cache st ~env ?batch plan (fun ~test ~base fr ->
           match fr with
           | `Full ->
               full_define fallback st ~vars:plan.rp_vars ~env plan.rp_body

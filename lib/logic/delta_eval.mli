@@ -43,17 +43,17 @@
     {b Persistent frontier state} (E25): the per-step {e fixed} costs —
     tester and guard compilation, anchor re-enumeration, mask
     allocation and whole-space clears/popcounts — are amortised across
-    steps in a per-(plan, size) state cache guarded by one lock:
+    steps in a {!cache} the caller owns ([Dynfo.Runner] gives each
+    runner its own), one state per rule plan under the cache's lock:
     compiled testers are {!Eval.rebind}-ed, anchor contributions are
     patched from {!Relation.symmetric_diff}, and the mask is a
     persistent buffer whose dirty words (tracked by a word list) are
-    cleared and recounted in O(frontier) per step. Sub-{!small_limit}
-    frontiers skip the mask entirely. All reuse is sound by
-    construction — a frontier only ever has to {e contain} the flipping
-    tuples, and the full body is re-tested on each — and the stateless
-    {!frontier} builder remains the reference the qcheck equivalence
-    law compares the stateful path against. {!invalidate} drops the
-    cache (snapshot restores, planner reinstalls). *)
+    cleared and recounted in O(frontier) per step. Frontiers of at most
+    32 codes skip the mask entirely. All reuse is sound by construction
+    — a frontier only ever has to {e contain} the flipping tuples, and
+    the full body is re-tested on each — and the stateless {!frontier}
+    builder remains the reference the qcheck equivalence law compares
+    the stateful path against. *)
 
 (** {1 Plans}
 
@@ -131,16 +131,6 @@ val set_cutoff : float -> unit
 
 val cutoff : unit -> float
 
-val default_small_limit : int
-
-val set_small_limit : int -> unit
-(** Set the small-frontier threshold: the largest raw (pre-dedupe)
-    frontier, in tuples, that the stateful path resolves as an explicit
-    code list with no {!Bitrel} at all ([Invalid_argument] when
-    negative; [0] disables the path). Calibrated by the E25 bench. *)
-
-val small_limit : unit -> int
-
 (** {1 Evaluation} *)
 
 type frontier =
@@ -149,7 +139,8 @@ type frontier =
   | `Mask_words of Bitrel.t * int list
   | `Tuples of Tuple.t list ]
 (** [`Tuples] is the mask-free fast path: when the frontier resolves to
-    at most {!small_limit} concrete tuples — in particular the
+    at most 32 concrete tuples (a raw, pre-dedupe count calibrated by
+    the E25 bench) — in particular the
     single-tuple-frontier shape of plain ins/del maintenance rules and
     0-ary targets, where every slab is anchorless and fully pinned —
     the codes are enumerated directly and no {!Bitrel} is touched: the
@@ -157,8 +148,8 @@ type frontier =
     for a one-tuple frontier, disappear entirely. [`Mask_words] is the
     persistent-mask form returned by {!with_state}: the mask is only
     meaningful on the listed dirty words (it is zero elsewhere) and is
-    {e borrowed} — it belongs to the state cache and is rewritten by
-    the rule's next step. *)
+    {e borrowed} — it belongs to the {!cache} and is rewritten by the
+    rule's next step. *)
 
 val frontier :
   Structure.t ->
@@ -189,7 +180,7 @@ val frontier :
     (the Defchange analysis model-checks the equivalence per program
     anyway). Tokens are compared physically and never reused; interleaved
     evaluations under a different (or no) token simply fall back to the
-    per-step clear, so concurrent sessions sharing a rule state stay
+    per-step clear, so forks of one runner sharing a rule state stay
     correct — they only lose the amortisation. *)
 
 type batch
@@ -198,20 +189,32 @@ val new_batch : unit -> batch
 (** A fresh batch scope. Create one per tick, pass it to every rule
     evaluation of the tick, drop it. *)
 
-val batch_joins : unit -> int
-(** Process-lifetime count of mask-path evaluations that joined an open
-    batch scope (skipped the per-member clear) — the E26 counter. *)
+(** {1 Frontier state} *)
+
+type cache
+(** Persistent frontier state: one entry per physical {!rule_plan}
+    (compiled body and guard testers, anchor caches, the dirty-mask
+    buffer), built on the plan's first evaluation and reused by every
+    later one, with its own lock. A state built for one universe size
+    is replaced when the plan is evaluated at another. Uncapped: plans
+    are memoized per program, so a cache holds at most one entry per
+    framed rule of the programs evaluated through it. *)
+
+val new_cache : unit -> cache
+(** An empty cache. [Dynfo.Runner.init] and [Dynfo.Runner.restore]
+    create one per runner; every state stepped from it shares it. *)
 
 val with_state :
+  cache:cache ->
   Structure.t ->
   ?env:(string * int) list ->
   ?batch:batch ->
   rule_plan ->
   (test:(Tuple.t -> bool) -> base:Relation.t -> frontier -> 'a) ->
   'a
-(** Evaluate [f] with the rule's persistent frontier state, under the
-    state lock: [test] is the cached (rebound) body tester, [base] the
-    target's pre-state value, and the frontier is maintained
+(** Evaluate [f] with the rule's persistent frontier state in [cache],
+    under the cache's lock: [test] is the cached (rebound) body tester,
+    [base] the target's pre-state value, and the frontier is maintained
     incrementally — same emissions and budget decisions as {!frontier},
     with the fixed per-step costs amortised. The lock is held for the
     whole of [f] ([f] must not re-enter this module), which is how
@@ -221,19 +224,6 @@ val with_state :
     is touched, as in {!define}. [batch] opens/joins a batch scope (see
     above); without it every call clears the previous step's words. *)
 
-val invalidate : unit -> unit
-(** Drop every cached frontier state (testers, anchor caches, mask
-    buffers). Reuse is sound by construction, so this is about
-    lifecycle hygiene, not correctness: called when the planner is
-    re-installed ([Runner.set_delta_planner]) and when a snapshot is
-    restored over a live server, so stale programs cannot pin
-    arbitrarily large buffers. *)
-
-val cached_states : unit -> int
-(** Number of per-(plan, size) states currently cached (bounded;
-    eviction resets the whole cache). Exposed for the invalidation
-    tests. *)
-
 val fast_hits : unit -> int
 (** Process-lifetime count of fully-pinned single-tuple frontiers taken
     — how often the original mask-free fast path fired (tests and
@@ -242,7 +232,7 @@ val fast_hits : unit -> int
 val small_frontier_hits : unit -> int
 (** Process-lifetime count of [`Tuples] frontiers resolved by the
     stateful path — fully-pinned shapes {e and} the generalised
-    sub-{!small_limit} explicit-code-list path. *)
+    explicit-code-list path for frontiers of at most 32 codes. *)
 
 val mask_builds : unit -> int
 (** Process-lifetime count of {!Bitrel} dirty masks allocated — a fresh
@@ -284,11 +274,12 @@ val splice_words :
 val memo_hits : unit -> int
 
 val memo_misses : unit -> int
-(** The state cache compiles each framed rule's body tester once per
-    (plan, universe size) and {e rebinds} it to the step's structure
-    thereafter ({!Eval.compile_tester}/{!Eval.rebind}) — compilation is
-    amortised across the steps of a run and the requests of a batch.
-    These counters expose the cache behaviour for tests and benches. *)
+(** Process-lifetime counts over every {!cache}: each compiles a
+    framed rule's body tester on the plan's first evaluation (a miss)
+    and {e rebinds} it to the step's structure thereafter (a hit;
+    {!Eval.compile_tester}/{!Eval.rebind}) — compilation is amortised
+    across the steps of a run and the requests of a batch. These
+    counters expose the cache behaviour for tests and benches. *)
 
 val full_define :
   [ `Tuple | `Bulk ] ->
@@ -300,16 +291,18 @@ val full_define :
 (** The fallback: {!Eval.define} or {!Bulk_eval.define}. *)
 
 val define :
+  cache:cache ->
   ?fallback:[ `Tuple | `Bulk ] ->
   Structure.t ->
   ?env:(string * int) list ->
   ?batch:batch ->
   rule_plan ->
   Relation.t
-(** Evaluate one rule: frontier + splice when the frame admits it, full
-    recompute otherwise. Equal to
-    [full_define fallback st ~vars:rp_vars ~env rp_body] by the frame
-    identity — the lockstep tests assert exactly that, structure-wide.
+(** Evaluate one rule: frontier + splice (through [cache], as in
+    {!with_state}) when the frame admits it, full recompute otherwise.
+    Equal to [full_define fallback st ~vars:rp_vars ~env rp_body] by the
+    frame identity — the lockstep tests assert exactly that,
+    structure-wide.
     Compile-time errors of the body (unknown relation, arity, unbound
     variable) are raised exactly as a full evaluation would raise them,
     even when the frontier is empty. *)

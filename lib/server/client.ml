@@ -122,8 +122,14 @@ type stats = {
 
 let stats t ~session =
   let fields = call t (Wire.Stats { session }) in
-  (* the commute/delta counters are absent from older servers *)
+  (* the commute and process counters are absent from older servers *)
   let opt k = Option.value ~default:0 (Option.bind (List.assoc_opt k fields) Json.to_int) in
+  let process k =
+    Option.value ~default:0
+      (Option.bind
+         (Option.bind (List.assoc_opt "process" fields) (Json.member k))
+         Json.to_int)
+  in
   {
     steps = int_field fields "steps";
     ticks = int_field fields "ticks";
@@ -134,13 +140,13 @@ let stats t ~session =
     elided = opt "elided";
     deduped = opt "deduped";
     hoisted = opt "hoisted";
-    delta_fast_hits = opt "delta_fast_hits";
-    delta_memo_hits = opt "delta_memo_hits";
-    delta_memo_misses = opt "delta_memo_misses";
-    delta_mask_builds = opt "delta_mask_builds";
-    delta_mask_reuse_hits = opt "delta_mask_reuse_hits";
-    delta_words_cleared = opt "delta_words_cleared";
-    delta_small_frontier_hits = opt "delta_small_frontier_hits";
+    delta_fast_hits = process "delta_fast_hits";
+    delta_memo_hits = process "delta_memo_hits";
+    delta_memo_misses = process "delta_memo_misses";
+    delta_mask_builds = process "delta_mask_builds";
+    delta_mask_reuse_hits = process "delta_mask_reuse_hits";
+    delta_words_cleared = process "delta_words_cleared";
+    delta_small_frontier_hits = process "delta_small_frontier_hits";
   }
 
 let list_sessions t =

@@ -86,7 +86,9 @@ type stats = {
   elided : int;  (** requests skipped by the verified no-op law *)
   deduped : int;  (** identical back-to-back requests collapsed *)
   hoisted : int;  (** update jobs that overtook pending queries *)
-  delta_fast_hits : int;  (** process-wide {!Dynfo_logic.Delta_eval} counters *)
+  delta_fast_hits : int;
+      (** process-wide {!Dynfo_logic.Delta_eval} counters, read from the
+          reply's ["process"] object *)
   delta_memo_hits : int;
   delta_memo_misses : int;
   delta_mask_builds : int;

@@ -214,22 +214,24 @@ let dispatch t (cmd : Wire.cmd) : (string * Json.t) list =
         ("streamed", Json.Int st.st_streamed);
         ("deduped", Json.Int st.st_deduped);
         ("hoisted", Json.Int st.st_hoisted);
-        (* process-wide delta-evaluator counters (satellite of E24):
-           coalescing effectiveness without a debugger *)
-        ("delta_fast_hits", Json.Int (Dynfo_logic.Delta_eval.fast_hits ()));
-        ("delta_memo_hits", Json.Int (Dynfo_logic.Delta_eval.memo_hits ()));
-        ("delta_memo_misses", Json.Int (Dynfo_logic.Delta_eval.memo_misses ()));
-        ("delta_mask_builds", Json.Int (Dynfo_logic.Delta_eval.mask_builds ()));
-        ( "delta_mask_reuse_hits",
-          Json.Int (Dynfo_logic.Delta_eval.mask_reuse_hits ()) );
-        ( "delta_words_cleared",
-          Json.Int (Dynfo_logic.Delta_eval.words_cleared ()) );
-        ( "delta_small_frontier_hits",
-          Json.Int (Dynfo_logic.Delta_eval.small_frontier_hits ()) );
-        (* process-wide paged-bitset counters: page-table residency and
-           kernel skip effectiveness *)
-        ("pages_allocated", Json.Int (Dynfo_logic.Bitrel.pages_allocated ()));
-        ("page_skip_hits", Json.Int (Dynfo_logic.Bitrel.skip_hits ()));
+        (* counters of the whole process, earned by every session and by
+           the analyses' model checks, kept apart from this session's *)
+        ( "process",
+          let open Dynfo_logic in
+          Json.Obj
+            [
+              ("delta_fast_hits", Json.Int (Delta_eval.fast_hits ()));
+              ("delta_memo_hits", Json.Int (Delta_eval.memo_hits ()));
+              ("delta_memo_misses", Json.Int (Delta_eval.memo_misses ()));
+              ("delta_mask_builds", Json.Int (Delta_eval.mask_builds ()));
+              ( "delta_mask_reuse_hits",
+                Json.Int (Delta_eval.mask_reuse_hits ()) );
+              ("delta_words_cleared", Json.Int (Delta_eval.words_cleared ()));
+              ( "delta_small_frontier_hits",
+                Json.Int (Delta_eval.small_frontier_hits ()) );
+              ("pages_allocated", Json.Int (Bitrel.pages_allocated ()));
+              ("page_skip_hits", Json.Int (Bitrel.skip_hits ()));
+            ] );
       ]
   | List_sessions ->
       let rows =

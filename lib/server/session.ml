@@ -57,6 +57,7 @@ type t = {
   resolved : [ `Tuple | `Bulk | `Delta ];
   engine : [ `Seq | `Par ];
   coalesce : [ `Fifo | `Commute ];
+  oracle : Runner.commute_oracle;  (* the drain's: null under [`Fifo] *)
   lock : Mutex.t;
   cond : Condition.t;
   mutable queue : job list;  (* newest first; worker reverses *)
@@ -109,10 +110,10 @@ let stats t =
 let on_engine t f =
   match t.engine with `Seq -> f () | `Par -> Mutex.protect par_lock f
 
-let apply_tick t oracle reqs =
+let apply_tick t reqs =
   on_engine t (fun () ->
-      Runner.step_batch_full ~backend:(t.resolved :> Runner.backend) ~oracle
-        t.state reqs)
+      Runner.step_batch_full ~backend:(t.resolved :> Runner.backend)
+        ~oracle:t.oracle t.state reqs)
 
 let run_query t name args =
   let backend = (t.resolved :> Runner.backend) in
@@ -136,7 +137,7 @@ let dedupe oracle batch =
   in
   go [] 0 batch
 
-let process_updates t oracle updates =
+let process_updates t updates =
   let p = t.program in
   let size = Structure.size (Runner.structure t.state) in
   let valid, invalid =
@@ -156,8 +157,8 @@ let process_updates t oracle updates =
   | [] -> ()
   | _ -> (
       let submitted = List.concat_map fst valid in
-      let batch, dropped = dedupe oracle submitted in
-      match apply_tick t oracle batch with
+      let batch, dropped = dedupe t.oracle submitted in
+      match apply_tick t batch with
       | state, w, info ->
           Mutex.protect t.lock (fun () ->
               t.state <- state;
@@ -201,17 +202,12 @@ let process_job t = function
    nothing: no request is hoisted, deduplicated, regrouped or elided, so
    only adjacent update jobs share a tick. *)
 let drain t jobs =
-  let oracle =
-    match t.coalesce with
-    | `Commute -> Runner.commute_oracle t.program
-    | `Fifo -> Runner.null_oracle
-  in
   let size = Structure.size (Runner.structure t.state) in
   let acc = ref [] (* update jobs, newest first *) in
   let pending = ref [] (* query jobs, newest first *) in
   let hoisted = ref 0 in
   let flush () =
-    if !acc <> [] then process_updates t oracle (List.rev !acc);
+    if !acc <> [] then process_updates t (List.rev !acc);
     acc := [];
     List.iter (process_job t) (List.rev !pending);
     pending := []
@@ -227,7 +223,8 @@ let drain t jobs =
                  (fun r ->
                    List.for_all
                      (function
-                       | J_query (name, _, _) -> oracle.Runner.co_invisible r name
+                       | J_query (name, _, _) ->
+                           t.oracle.Runner.co_invisible r name
                        | _ -> false)
                      !pending)
                  reqs
@@ -272,12 +269,16 @@ let make ~id ~name ?pool ~backend ~coalesce state =
   let p = Runner.program state in
   let resolved = Runner.resolve_backend p backend in
   let engine = match pool with None -> `Seq | Some _ -> `Par in
-  (* warm the oracles (and their model-checked matrices) before
-     serving, in both drain modes: the analyses run once per program,
-     not under the first client's call — a [`Fifo] tick ignores the
-     commute oracle but still consults the installed Defchange one. Any
+  (* resolve the drain's oracle and warm the Defchange matrix before
+     serving, so the model checks run once per program, not under the
+     first client's call: a [`Fifo] drain never consults the commute
+     oracle, but every tick consults the installed Defchange one. Any
      op hits the whole Defchange matrix. *)
-  ignore (Runner.commute_oracle p);
+  let oracle =
+    match coalesce with
+    | `Commute -> Runner.commute_oracle p
+    | `Fifo -> Runner.null_oracle
+  in
   (match Vocab.relations p.input_vocab with
   | (s : Vocab.sym) :: _ -> ignore (Runner.defchange_verdict p `Ins s.name)
   | [] -> (
@@ -293,6 +294,7 @@ let make ~id ~name ?pool ~backend ~coalesce state =
       resolved;
       engine;
       coalesce;
+      oracle;
       lock = Mutex.create ();
       cond = Condition.create ();
       queue = [];

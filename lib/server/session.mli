@@ -13,11 +13,11 @@
     (a query submitted after an update observes it).
 
     There is one drain. In the default [`Commute] mode it runs under
-    the installed commute oracle, whose verified laws let updates
-    overtake queries they cannot affect, collapse idempotent
-    duplicates, and regroup or elide requests inside the tick. [`Fifo]
-    runs the same drain under [Dynfo.Runner.null_oracle], which licenses
-    none of that.
+    the installed commute oracle, resolved once when the session is
+    made, whose verified laws let updates overtake queries they cannot
+    affect, collapse idempotent duplicates, and regroup or elide
+    requests inside the tick. [`Fifo] runs the same drain under
+    [Dynfo.Runner.null_oracle], which licenses none of that.
 
     Sessions evaluate on the runner's inline one-lane pool by default
     ([`Seq]); pass [?pool] to evaluate on a domain pool instead
@@ -65,7 +65,8 @@ val create :
     [coalesce] (default [`Commute]) selects the drain mode: [`Fifo] is
     the same drain under [Dynfo.Runner.null_oracle], so no request is
     hoisted, deduplicated, regrouped or elided. Both modes warm the
-    program's commute and Defchange matrices before serving. *)
+    program's Defchange matrix before serving; [`Commute] also resolves
+    its commute oracle (and so its matrix) here, once. *)
 
 val of_state :
   id:string ->

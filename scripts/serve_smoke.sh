@@ -148,6 +148,21 @@ echo "$RESP" | grep '"id":21' | grep -q '"ticks":0' || {
   echo "serve_smoke: fresh session should have 0 ticks" >&2
   exit 1
 }
+# Counters of the whole process (earned by every session and by the
+# analyses' model checks) appear only inside "process", apart from the
+# fresh session's own fields.
+echo "$RESP" | grep '"id":21' | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+keys = ["delta_fast_hits", "delta_memo_hits", "delta_memo_misses",
+        "delta_mask_builds", "delta_mask_reuse_hits", "delta_words_cleared",
+        "delta_small_frontier_hits", "pages_allocated", "page_skip_hits"]
+process = r.get("process", {})
+sys.exit(0 if all(k not in r and k in process for k in keys) else 1)
+' || {
+  echo "serve_smoke: process counters outside the stats reply's \"process\" object" >&2
+  exit 1
+}
 echo "$RESP" | grep '"id":23' | grep -q '"ticks":1' || {
   echo "serve_smoke: set batch did not land in a single tick" >&2
   exit 1

@@ -142,11 +142,26 @@ let random_structure rng ~size =
   st := Structure.with_const !st "t" (Random.State.int rng size);
   !st
 
-let random_framed_rule rng ~size =
+(* [~pinned:true] ORs pinned disjuncts into A and C so that both frame
+   sides are pinned cylinders of [size] tuples: members may leave only
+   at x = b, non-members enter only at x = a or y = b. From size 13 such
+   a frontier (up to 3 * size codes) passes the 32-code small-frontier
+   threshold while staying under the budget (a quarter of size^2), which
+   is the persistent-mask path. *)
+let random_framed_rule ?(pinned = false) rng ~size =
   let vars = [ "x"; "y" ] in
   let scope = vars @ [ "a"; "b" ] in
   let a = random_formula rng ~size scope in
   let c = random_formula rng ~size scope in
+  let a, c =
+    if not pinned then (a, c)
+    else
+      let eq v p = Formula.Eq (Formula.Var v, Formula.Var p) in
+      ( Formula.Or (a, Formula.Not (eq "x" "b")),
+        Formula.Or
+          ( Formula.And (eq "x" "a", c),
+            Formula.And (eq "y" "b", random_formula rng ~size scope) ) )
+  in
   let body =
     Formula.Or
       ( Formula.And
@@ -197,6 +212,10 @@ let frontier_sound =
           QCheck.Test.fail_reportf "stateless frontier returned `Mask_words");
       true)
 
+(* one evaluation through a fresh frontier cache *)
+let define_once ?fallback st ?env plan =
+  Delta_eval.define ~cache:(Delta_eval.new_cache ()) ?fallback st ?env plan
+
 let delta_matches_eval_and_bulk =
   QCheck.Test.make
     ~name:"Delta_eval.define == Eval.define == Bulk_eval.define"
@@ -213,7 +232,7 @@ let delta_matches_eval_and_bulk =
       let seq = Eval.define st ~vars:rule.vars ~env rule.body in
       let bulk = Bulk_eval.define st ~vars:rule.vars ~env rule.body in
       let fallback = if Random.State.bool rng then `Tuple else `Bulk in
-      let delta = Delta_eval.define ~fallback st ~env plan in
+      let delta = define_once ~fallback st ~env plan in
       if not (Relation.equal seq delta && Relation.equal seq bulk) then
         QCheck.Test.fail_reportf "divergence at n=%d on %s@.tuple: %a@.delta: %a"
           size
@@ -239,7 +258,7 @@ let delta_cutoff_zero_matches =
         Fun.protect
           ~finally:(fun () ->
             Delta_eval.set_cutoff Delta_eval.default_cutoff)
-          (fun () -> Delta_eval.define ~fallback:`Tuple st ~env plan)
+          (fun () -> define_once ~fallback:`Tuple st ~env plan)
       in
       Relation.equal seq delta)
 
@@ -260,12 +279,12 @@ let test_delta_error_parity () =
   Alcotest.check_raises "unbound variable" (Eval.Unbound_variable "w")
     (fun () ->
       ignore
-        (Delta_eval.define st
+        (define_once st
            (plan_of ~target:"R" ~vars:[ "x" ]
               (framed (Formula.rel_v "E" [ "x"; "w" ])))));
   check tb "unknown relation" true
     (match
-       Delta_eval.define st
+       define_once st
          (plan_of ~target:"R" ~vars:[ "x" ]
             (framed (Formula.rel_v "F" [ "x" ])))
      with
@@ -273,7 +292,7 @@ let test_delta_error_parity () =
     | _ -> false);
   check tb "arity error" true
     (match
-       Delta_eval.define st
+       define_once st
          (plan_of ~target:"R" ~vars:[ "x" ]
             (framed (Formula.rel_v "E" [ "x" ])))
      with
@@ -297,12 +316,12 @@ let test_delta_zero_arity () =
   let plan = plan_of ~target:"b" ~vars:[] body in
   check tb "nullary rule framed" true (plan.Delta_eval.rp_frame <> None);
   let seq = Eval.define !st ~vars:[] body in
-  let delta = Delta_eval.define !st plan in
+  let delta = define_once !st plan in
   check tb "nullary delta == tuple (true state)" true
     (Relation.equal seq delta);
   st := Structure.with_rel !st "b" (Relation.of_list ~arity:0 []);
   check tb "nullary delta == tuple (false state)" true
-    (Relation.equal (Eval.define !st ~vars:[] body) (Delta_eval.define !st plan))
+    (Relation.equal (Eval.define !st ~vars:[] body) (define_once !st plan))
 
 let test_unframed_plan_falls_back () =
   (* a body whose disjuncts never carry the target atom gets no frame;
@@ -318,7 +337,7 @@ let test_unframed_plan_falls_back () =
       check tb "fallback agrees" true
         (Relation.equal
            (Eval.define !st ~vars:[ "x"; "y" ] body)
-           (Delta_eval.define ~fallback !st plan)))
+           (define_once ~fallback !st plan)))
     [ `Tuple; `Bulk ]
 
 (* --- the registry in lockstep on all three backends ----------------------- *)
@@ -422,7 +441,8 @@ let test_par_delta_define_matches () =
                 (* cutoff 0 forces the chunked path whenever the mask is
                    non-empty and lanes > 1 *)
                 let par =
-                  Par_delta.define pool ~cutoff:0 st ~env ~fallback plan
+                  Par_delta.define pool ~cache:(Delta_eval.new_cache ())
+                    ~cutoff:0 st ~env ~fallback plan
                 in
                 if not (Relation.equal seq par) then
                   Alcotest.failf "par-delta diverges at n=%d on %s" size
@@ -482,16 +502,20 @@ let frontier_tuples ~size ~arity (fr : Delta_eval.frontier) =
 (* The central law of the persistent-state rewrite: after ANY history of
    churn, budget collapses and target updates, the warm stateful
    frontier is the same set (and the same `Full decision) as a frontier
-   built from scratch by the stateless reference. *)
+   built from scratch by the stateless reference. One cache serves the
+   whole history, as a runner's does. Half the rules are pinned and
+   sizes reach 20, so that frontiers pass the 32-code small-frontier
+   threshold under the budget and the persistent-mask path is compared
+   too. *)
 let stateful_frontier_matches_stateless =
   QCheck.Test.make
     ~name:"warm frontier_state == stateless frontier under churn" ~count:120
-    QCheck.(pair (int_range 2 6) (int_range 0 10000000))
+    QCheck.(pair (int_range 2 20) (int_range 0 10000000))
     (fun (size, seed) ->
       let rng = Random.State.make [| seed; size; 23 |] in
-      let rule = random_framed_rule rng ~size in
+      let rule = random_framed_rule ~pinned:(Random.State.bool rng) rng ~size in
       let plan = Dynfo_analysis.Support.plan_rule rule in
-      Delta_eval.invalidate ();
+      let cache = Delta_eval.new_cache () in
       let st = ref (random_structure rng ~size) in
       Fun.protect
         ~finally:(fun () -> Delta_eval.set_cutoff Delta_eval.default_cutoff)
@@ -534,7 +558,8 @@ let stateful_frontier_matches_stateless =
                 (Delta_eval.frontier !st ~env ~base plan)
             in
             let got =
-              Delta_eval.with_state !st ~env plan (fun ~test:_ ~base:_ fr ->
+              Delta_eval.with_state ~cache !st ~env plan
+                (fun ~test:_ ~base:_ fr ->
                   frontier_tuples ~size ~arity:2 fr)
             in
             (match (expect, got) with
@@ -550,9 +575,23 @@ let stateful_frontier_matches_stateless =
             (* push the rule's own output back into the target so the
                next round exercises dirty-word clears and anchor patches
                against genuine target churn *)
-            st := Structure.with_rel !st "R" (Delta_eval.define !st ~env plan)
+            st :=
+              Structure.with_rel !st "R"
+                (Delta_eval.define ~cache !st ~env plan)
           done);
       true)
+
+let test_stateful_frontier_matches_stateless =
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest stateful_frontier_matches_stateless
+  in
+  ( name,
+    speed,
+    fun () ->
+      let reuse0 = Delta_eval.mask_reuse_hits () in
+      run ();
+      check tb "the persistent-mask path was compared" true
+        (Delta_eval.mask_reuse_hits () > reuse0) )
 
 (* Budget-fallback -> resync across the whole registry, sequential and
    pool-parallel: mid-run the cutoff collapses to 0 (every framed rule
@@ -605,70 +644,64 @@ let test_registry_cutoff_resync () =
                 Registry.all))
         [ 1; 4 ])
 
-(* Lifecycle boundaries drop the warm caches: planner (re-)installation —
-   which is how program re-registration and advisor-driven backend
-   reconfiguration reach the evaluator — and snapshot restore onto a
-   live process. After the drop, two runners sharing the process-wide
-   cache continue in lockstep. *)
-let test_invalidation_drops_state () =
+(* Frontier state belongs to the runner that built it: a second runner
+   of the same program and size compiles its own testers; another
+   program's model checks, which restore a runner per checked case,
+   leave a live runner warm; and a runner restored from a live one's
+   structure starts cold and continues in lockstep with it, work
+   included. *)
+let test_frontier_state_per_runner () =
   Dynfo_analysis.Advisor.install ();
   let e = Registry.find "reach_u" in
   let size = 7 in
   let rng = Random.State.make [| 41 |] in
   let reqs = e.workload rng ~size ~length:40 in
-  let prefix = List.filteri (fun i _ -> i < 20) reqs in
-  let suffix = List.filteri (fun i _ -> i >= 20) reqs in
-  let s = Runner.run ~backend:`Delta (Runner.init e.program ~size) prefix in
-  check tb "delta run warmed the cache" true (Delta_eval.cached_states () > 0);
-  Dynfo_analysis.Advisor.install ();
-  check ti "planner reinstall drops cached states" 0
-    (Delta_eval.cached_states ());
-  let warm = List.filteri (fun i _ -> i < 5) suffix in
-  let rest = List.filteri (fun i _ -> i >= 5) suffix in
-  let s = Runner.run ~backend:`Delta s warm in
-  check tb "cache warmed again" true (Delta_eval.cached_states () > 0);
+  let s = Runner.run ~backend:`Delta (Runner.init e.program ~size) reqs in
+  let misses0 = Delta_eval.memo_misses () in
+  ignore (Runner.run ~backend:`Delta (Runner.init e.program ~size) reqs);
+  check tb "a second runner compiles its own testers" true
+    (Delta_eval.memo_misses () > misses0);
+  ignore (Dynfo_analysis.Defchange.matrix_of (Registry.find "parity").program);
+  let misses1 = Delta_eval.memo_misses () in
+  (* the same requests again: every plan they reach is resident *)
+  let s = Runner.run ~backend:`Delta s reqs in
+  check ti "another program's model checks leave the runner warm" 0
+    (Delta_eval.memo_misses () - misses1);
   let restored = Runner.restore e.program (Runner.structure s) in
-  check ti "restore drops cached states" 0 (Delta_eval.cached_states ());
-  let sa = ref s and sb = ref restored in
-  List.iter
-    (fun r ->
-      sa := Runner.step ~backend:`Delta !sa r;
-      sb := Runner.step ~backend:`Delta !sb r;
-      check tb "lockstep-continue with warm caches" true
-        (Structure.equal (Runner.structure !sa) (Runner.structure !sb)))
-    rest
+  ignore
+    (List.fold_left
+       (fun (sa, sb) r ->
+         let sa, wa = Runner.step_work ~backend:`Delta sa r in
+         let sb, wb = Runner.step_work ~backend:`Delta sb r in
+         check tb "restored runner continues in lockstep" true
+           (Structure.equal (Runner.structure sa) (Runner.structure sb));
+         check ti "restored runner charges the same work" wa wb;
+         (sa, sb))
+       (s, restored) reqs)
 
-(* Force the persistent-mask path (small_limit 0), flip the threshold
-   mid-run (warm mask state must survive steps that bypass it through
-   the small-frontier path), and assert the new counters actually move. *)
+(* Both frontier paths through one workload: msf's rules resolve some
+   steps' frontiers under the 32-code threshold (small frontiers) and
+   others above it (persistent-mask reuses with dirty-word clears), and
+   the warm mask must survive the steps that bypass it. *)
 let test_mask_reuse_and_threshold_switch () =
   Dynfo_analysis.Advisor.install ();
-  let e = Registry.find "reach_u" in
-  let size = 8 in
+  let e = Registry.find "msf" in
+  let size = 7 in
   let rng = Random.State.make [| 43 |] in
   let reqs = e.workload rng ~size ~length:60 in
   let reuse0 = Delta_eval.mask_reuse_hits () in
   let cleared0 = Delta_eval.words_cleared () in
   let small0 = Delta_eval.small_frontier_hits () in
-  Fun.protect
-    ~finally:(fun () ->
-      Delta_eval.set_small_limit Delta_eval.default_small_limit)
-    (fun () ->
-      Delta_eval.set_small_limit 0;
-      let seq = ref (Runner.init e.program ~size) in
-      let delta = ref (Runner.init e.program ~size) in
-      List.iteri
-        (fun i r ->
-          Delta_eval.set_small_limit (if i mod 8 >= 6 then 64 else 0);
-          seq := Runner.step !seq r;
-          delta := Runner.step ~backend:`Delta !delta r;
-          if
-            not
-              (Structure.equal (Runner.structure !seq)
-                 (Runner.structure !delta))
-          then
-            Alcotest.failf "threshold switch: delta diverges after request %d" i)
-        reqs);
+  let seq = ref (Runner.init e.program ~size) in
+  let delta = ref (Runner.init e.program ~size) in
+  List.iteri
+    (fun i r ->
+      seq := Runner.step !seq r;
+      delta := Runner.step ~backend:`Delta !delta r;
+      if
+        not (Structure.equal (Runner.structure !seq) (Runner.structure !delta))
+      then Alcotest.failf "threshold switch: delta diverges after request %d" i)
+    reqs;
   check tb "persistent mask was reused" true
     (Delta_eval.mask_reuse_hits () > reuse0);
   check tb "dirty words were cleared" true
@@ -695,7 +728,7 @@ let test_support_reports () =
 
 (* --- single-tuple fast path + tester memoization --------------------------- *)
 
-(* The mask-free frontier fast path and the (plan, size) tester memo are
+(* The mask-free frontier fast path and the per-plan tester memo are
    the serving layer's wall-clock win. Assert both actually fire on
    showcase workloads — and that taking them changes nothing: the delta
    run must still land on the very structure the tuple backend builds. *)
@@ -721,8 +754,8 @@ let test_fast_path_and_memo () =
     (Delta_eval.fast_hits () > fast0);
   check tb "compiled testers were rebound, not recompiled" true
     (Delta_eval.memo_hits () > hits0);
-  (* compiles are keyed (plan, size): two programs at one size each can
-     only add a handful of entries, however many steps ran *)
+  (* compiles are per (runner, plan): one delta runner of each of two
+     programs can only add a handful, however many steps ran *)
   check tb "bounded compiles" true (Delta_eval.memo_misses () - misses0 <= 32)
 
 let () =
@@ -762,11 +795,11 @@ let () =
         ] );
       ( "frontier_state",
         [
-          QCheck_alcotest.to_alcotest stateful_frontier_matches_stateless;
+          test_stateful_frontier_matches_stateless;
           Alcotest.test_case "budget fallback -> resync, registry x lanes"
             `Slow test_registry_cutoff_resync;
-          Alcotest.test_case "lifecycle boundaries drop cached state" `Quick
-            test_invalidation_drops_state;
+          Alcotest.test_case "frontier state is per runner" `Quick
+            test_frontier_state_per_runner;
           Alcotest.test_case "mask reuse and threshold switches" `Quick
             test_mask_reuse_and_threshold_switch;
         ] );

@@ -531,6 +531,37 @@ let test_session_fifo_warms_oracles () =
   check tb "defchange oracle consulted before the first update" true
     (at_creation > 0)
 
+(* A session resolves its drain's commute oracle once, when it is made:
+   a [`Fifo] session never consults it, a [`Commute] one consults it at
+   creation and on no drain after. *)
+let test_session_drain_oracle_once () =
+  let consulted = ref 0 in
+  Runner.set_commute_oracle (fun _ ->
+      incr consulted;
+      Runner.null_oracle);
+  Fun.protect ~finally:(fun () ->
+      Runner.set_commute_oracle (fun _ -> Runner.null_oracle))
+  @@ fun () ->
+  let e = Registry.find "parity" in
+  let consults coalesce =
+    consulted := 0;
+    let s =
+      Session.create ~id:"o" ~name:"parity" ~backend:`Tuple ~coalesce
+        e.program ~size:8
+    in
+    let at_creation = !consulted in
+    List.iter
+      (fun a ->
+        ignore (Session.update s [ Request.ins "M" [ a ] ]);
+        ignore (Session.query s []))
+      [ 0; 1; 2 ];
+    Session.close s;
+    (at_creation, !consulted)
+  in
+  let tii = Alcotest.pair ti ti in
+  check tii "fifo: never" (0, 0) (consults `Fifo);
+  check tii "commute: once, at creation" (1, 1) (consults `Commute)
+
 (* two independent input relations feeding disjoint auxiliaries, with a
    named query per side: updates on one side are provably invisible to
    the other side's query, so the commute drain may let them overtake
@@ -721,7 +752,8 @@ let test_loadgen () =
       check tb "served == offline" offline r.Loadgen.lg_final)
 
 (* fifo and commute sessions answer identically over the wire, and the
-   stats response surfaces the coalescing and delta counters *)
+   stats response surfaces the coalescing counters at top level and the
+   process-wide delta and page counters only inside "process" *)
 let test_daemon_coalesce_modes () =
   Dynfo_analysis.Advisor.install ();
   Dynfo_analysis.Commute.install ();
@@ -742,23 +774,40 @@ let test_daemon_coalesce_modes () =
         in
         let r = Loadgen.drive client ~session ~batch:16 reqs in
         let st = Client.stats client ~session in
+        let fields = Client.call client (Wire.Stats { session }) in
         Client.destroy client ~session;
         check tb "served answer == offline replay" offline r.Loadgen.lg_final;
         check ti "steps acknowledge every submitted request"
           (List.length reqs) st.Client.steps;
-        st
+        (st, fields)
       in
-      let fifo = run `Fifo in
+      let fifo, _ = run `Fifo in
       check ti "fifo exploits no law" 0 (fifo.Client.deduped + fifo.Client.elided);
-      let com = run `Commute in
+      let com, fields = run `Commute in
       check tb "commute dedupes the injected duplicates" true
         (com.Client.deduped >= 48);
       check tb "stats surface planner groups" true (com.Client.groups > 0);
-      check tb "stats surface delta counters" true
-        (com.Client.delta_fast_hits >= 0
-        && com.Client.delta_memo_hits >= 0
-        && com.Client.delta_memo_misses >= 0
-        && com.Client.delta_mask_builds >= 0))
+      let process = List.assoc_opt "process" fields in
+      List.iter
+        (fun k ->
+          check tb (k ^ " not at top level") false (List.mem_assoc k fields);
+          check tb (k ^ " under process") true
+            (Option.is_some (Option.bind process (Json.member k))))
+        [
+          "delta_fast_hits";
+          "delta_memo_hits";
+          "delta_memo_misses";
+          "delta_mask_builds";
+          "delta_mask_reuse_hits";
+          "delta_words_cleared";
+          "delta_small_frontier_hits";
+          "pages_allocated";
+          "page_skip_hits";
+        ];
+      (* parity resolves to delta under [`Auto], so its ticks made the
+         memo hits nonzero: Client.stats found them under "process" *)
+      check tb "Client.stats reads the process counters" true
+        (com.Client.delta_memo_hits > 0))
 
 let () =
   Alcotest.run "server"
@@ -794,6 +843,8 @@ let () =
             test_session_par_matches_seq;
           Alcotest.test_case "fifo sessions warm the oracles" `Quick
             test_session_fifo_warms_oracles;
+          Alcotest.test_case "drain oracle resolved at create" `Quick
+            test_session_drain_oracle_once;
           Alcotest.test_case "mixed update/query traffic" `Quick
             test_session_mixed_traffic;
         ] );
