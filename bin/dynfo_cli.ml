@@ -74,33 +74,34 @@ let domains_arg =
 let cutoff_arg =
   Arg.(
     value
-    & opt int Dynfo_engine.Par_eval.default_cutoff
+    & opt int Dynfo_engine.Pool.default_cutoff
     & info [ "cutoff" ] ~docv:"C"
         ~doc:
           "Tuple-space size below which a rule is evaluated sequentially \
            even when --domains > 1.")
 
-let backend_conv =
-  let parse = function
-    | "tuple" -> Ok `Tuple
-    | "bulk" -> Ok `Bulk
-    | "delta" -> Ok `Delta
-    | "auto" -> Ok `Auto
-    | s ->
-        Error
-          (`Msg
-             (Printf.sprintf
-                "invalid backend %S, expected tuple, bulk, delta or auto" s))
+(* A converter over one of the wire's name tables: the command line
+   accepts exactly the names the protocol does. *)
+let wire_conv what table =
+  let expected =
+    match List.rev_map fst table with
+    | last :: (_ :: _ as rest) ->
+        String.concat ", " (List.rev rest) ^ " or " ^ last
+    | names -> String.concat "" names
   in
-  let print ppf (b : Runner.backend) =
-    Format.pp_print_string ppf
-      (match b with
-      | `Tuple -> "tuple"
-      | `Bulk -> "bulk"
-      | `Delta -> "delta"
-      | `Auto -> "auto")
+  let parse s =
+    match List.assoc_opt s table with
+    | Some v -> Ok v
+    | None ->
+        Error
+          (`Msg (Printf.sprintf "invalid %s %S, expected %s" what s expected))
+  in
+  let print ppf v =
+    Format.pp_print_string ppf (fst (List.find (fun (_, v') -> v' = v) table))
   in
   Arg.conv (parse, print)
+
+let backend_conv = wire_conv "backend" Dynfo_server.Wire.backends
 
 let backend_arg =
   Arg.(
@@ -864,31 +865,8 @@ let client_cmd =
           response line — the scripting face of the wire protocol.")
     Term.(const run $ socket_arg $ tcp_arg $ script_arg)
 
-let engine_conv =
-  let parse = function
-    | "seq" -> Ok `Seq
-    | "par" -> Ok `Par
-    | s ->
-        Error (`Msg (Printf.sprintf "invalid engine %S, expected seq or par" s))
-  in
-  let print ppf e =
-    Format.pp_print_string ppf (match e with `Seq -> "seq" | `Par -> "par")
-  in
-  Arg.conv (parse, print)
-
-let coalesce_conv =
-  let parse = function
-    | "fifo" -> Ok `Fifo
-    | "commute" -> Ok `Commute
-    | s ->
-        Error
-          (`Msg (Printf.sprintf "invalid mode %S, expected fifo or commute" s))
-  in
-  let print ppf c =
-    Format.pp_print_string ppf
-      (match c with `Fifo -> "fifo" | `Commute -> "commute")
-  in
-  Arg.conv (parse, print)
+let engine_conv = wire_conv "engine" Dynfo_server.Wire.engines
+let coalesce_conv = wire_conv "mode" Dynfo_server.Wire.coalesces
 
 let loadgen_cmd =
   let batch_arg =

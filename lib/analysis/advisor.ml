@@ -232,7 +232,7 @@ let of_program ?size ?(calibration = Calibration.default) (p : Program.t) =
     program = p.name;
     backend;
     fallback = full_backend;
-    par_cutoff = Dynfo_engine.Par_eval.default_cutoff;
+    par_cutoff = Dynfo_engine.Pool.default_cutoff;
     max_work_exponent = m.Metrics.max_work_exponent;
     bit_fraction;
     reason;

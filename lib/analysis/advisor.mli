@@ -4,7 +4,7 @@
 
     Heuristic, calibrated against the E20 measurements in
     EXPERIMENTS.md: the dense bitset backend wins once the update work
-    reaches [n^5] ({!Dynfo_engine.Par_eval.default_cutoff}-sized tuple
+    reaches [n^5] ({!Dynfo_engine.Pool.default_cutoff}-sized tuple
     spaces stop fitting the short-circuit evaluator's sweet spot),
     {e unless} the bodies lean on [BIT] — arithmetic atoms degrade the
     word kernels to per-bit probes (mult is ~30x faster on the tuple
@@ -29,7 +29,7 @@ type advice = {
       (** full-recompute backend: what [`Delta] uses for temporaries,
           unframed rules and over-budget frontiers — and the advice
           itself when the program is not delta-eligible *)
-  par_cutoff : int;  (** {!Dynfo_engine.Par_eval.default_cutoff} *)
+  par_cutoff : int;  (** {!Dynfo_engine.Pool.default_cutoff} *)
   max_work_exponent : int;
   bit_fraction : float;  (** BIT atoms / all atoms, over every body *)
   reason : string;  (** one-line human-readable justification *)

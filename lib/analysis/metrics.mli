@@ -9,7 +9,7 @@
     CRAM time on [n^(k + rank)] processors. {!formula_metrics.work_exponent}
     is that exponent; the program-level {!t.max_work_exponent} bounds the
     hardware of the CRAM[1] evaluator, which is exactly the space
-    {!Dynfo_engine.Par_eval} partitions across domains. *)
+    {!Dynfo_logic.Eval.define} partitions across a pool's domains. *)
 
 type formula_metrics = {
   path : string;  (** e.g. ["on_ins E / rule PV"] or ["query"] *)

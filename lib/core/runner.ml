@@ -9,14 +9,10 @@ type state = {
   cache : Delta_eval.cache;  (* shared by every state stepped from one init *)
 }
 
-(* The pool a state evaluates on unless given one. One lane spawns no
-   domain and runs every job inline, so [Par_eval], [Par_bulk] and
-   [Par_delta] fall through to [Eval], [Bulk_eval] and [Delta_eval]
-   without touching the pool — which is why every thread may share it. *)
-let inline_pool = Pool.create ~lanes:1 ()
-
-let make ?(pool = inline_pool) ?(cutoff = Par_eval.default_cutoff) p
-    structure =
+(* Without [?pool] a state evaluates on [Pool.inline]: one lane spawns
+   no domain and runs every evaluator's kernel inline, which is why every
+   thread may share it. *)
+let make ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) p structure =
   { program = p; structure; pool; cutoff; cache = Delta_eval.new_cache () }
 
 let init ?pool ?cutoff (p : Program.t) ~size =
@@ -115,17 +111,17 @@ let op_key = function
 (* One rule evaluated in full on a concrete backend, on the state's pool. *)
 let full_define s backend st ~vars ~env f =
   match backend with
-  | `Tuple -> Par_eval.define s.pool ~cutoff:s.cutoff st ~vars ~env f
-  | `Bulk -> Par_bulk.define s.pool ~cutoff:s.cutoff st ~vars ~env f
+  | `Tuple -> Eval.define ~pool:s.pool ~cutoff:s.cutoff st ~vars ~env f
+  | `Bulk -> Bulk_eval.define ~pool:s.pool ~cutoff:s.cutoff st ~vars ~env f
 
 (* The simultaneous rule block on [`Tuple] or [`Bulk]: every body reads
    only the pre-state (plus earlier temporaries), so the block is
    parallel both across and within rules. On a multi-lane pool, a
    [`Tuple] block of several rules whose tuple spaces are all under the
-   cutoff hands whole rules to lanes (each runs the sequential
-   evaluator); otherwise rules go in order, parallel inside each one.
-   [`Bulk] never fans rules out: [Par_bulk] submits pool jobs itself and
-   the pool is not reentrant. *)
+   cutoff hands whole rules to lanes, each evaluated without the pool
+   (inline: the pool is not reentrant); otherwise rules go in order,
+   parallel inside each one. [`Bulk] never fans rules out: its kernels
+   submit pool jobs themselves. *)
 let full_rules_define s backend st ~env rules =
   if
     backend = `Tuple
@@ -133,7 +129,7 @@ let full_rules_define s backend st ~env rules =
     && List.length rules > 1
     && List.for_all
          (fun (r : Program.rule) ->
-           Par_eval.tuple_space ~size:(Structure.size st)
+           Pool.tuple_space ~size:(Structure.size st)
              ~arity:(List.length r.vars)
            < s.cutoff)
          rules
@@ -156,10 +152,10 @@ let full_rules_define s backend st ~env rules =
       rules
 
 (* The delta backend: look each rule up in the block's plan and evaluate
-   its dirty frontier only ([Par_delta] chunks it over the pool's
-   lanes); anything without a matching framed plan — temporaries (fresh
-   every step, nothing to be incremental against) and unframed rules —
-   is recomputed in full on the plan's fallback backend. The plan is
+   its dirty frontier only ([Delta_eval.define] chunks it over the
+   pool's lanes); anything without a matching framed plan — temporaries
+   (fresh every step, nothing to be incremental against) and unframed
+   rules — is recomputed in full on the plan's fallback backend. The plan is
    validated against the actual rule (vars + body) so a stale plan for a
    same-named variant of the program degrades to a full recompute
    instead of misevaluating. *)
@@ -174,8 +170,8 @@ let delta_rules_define ?batch s (plan : Delta_eval.program_plan)
         | Some rp
           when rp.Delta_eval.rp_vars = r.vars
                && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Par_delta.define s.pool ~cache:s.cache ~cutoff:s.cutoff ?batch st
-              ~env ~fallback rp
+            Delta_eval.define ~cache:s.cache ~fallback ~pool:s.pool
+              ~cutoff:s.cutoff st ~env ?batch rp
         | _ -> full_define s fallback st ~vars:r.vars ~env r.body
       in
       (r.target, rel))
@@ -449,7 +445,7 @@ let concrete_query_backend p = function
 let holds ?(backend = `Tuple) s ?env f =
   match concrete_query_backend s.program (resolve_backend s.program backend) with
   | `Tuple -> Eval.holds s.structure ?env f
-  | `Bulk -> Par_bulk.holds s.pool s.structure ?env f
+  | `Bulk -> Bulk_eval.holds ~pool:s.pool s.structure ?env f
 
 let query ?backend s = holds ?backend s s.program.query
 

@@ -11,14 +11,15 @@
     Every state evaluates on a {!Dynfo_engine.Pool} of domains — the
     CRAM[1] reading of FO. The rules of an update block all read the
     pre-update structure, so they are parallel across rules and within
-    each rule: {!Dynfo_engine.Par_eval} partitions a rule's tuple space,
-    {!Dynfo_engine.Par_bulk} chunks the bitset kernels by word ranges,
-    {!Dynfo_engine.Par_delta} chunks the dirty frontier. Without
-    [?pool] a state uses a shared one-lane pool, which spawns no domain
-    and on which those modules fall through to the sequential
-    {!Dynfo_logic.Eval}, {!Dynfo_logic.Bulk_eval} and
-    {!Dynfo_logic.Delta_eval}. Answers and work counts are the same on
-    any pool: the harness cross-checks them on every registry program.
+    each rule. Each backend has one evaluator, handed the state's pool
+    and cutoff: {!Dynfo_logic.Eval.define} partitions a rule's tuple
+    space, {!Dynfo_logic.Bulk_eval.define} chunks the bitset kernels by
+    word ranges, {!Dynfo_logic.Delta_eval.define} chunks the dirty
+    frontier. Without [?pool] a state uses
+    {!Dynfo_engine.Pool.inline}, which spawns no domain and on which
+    each evaluator's kernel runs once over its whole range — the
+    sequential loop. Answers and work counts are the same on any pool:
+    the harness cross-checks them on every registry program.
 
     A state also carries the delta backend's frontier cache
     ({!Dynfo_logic.Delta_eval.cache}: compiled testers, anchor caches,
@@ -156,12 +157,14 @@ val plan_groups : Program.t -> Request.t list -> Request.t list list
 val init :
   ?pool:Dynfo_engine.Pool.t -> ?cutoff:int -> Program.t -> size:int -> state
 (** [f_n(empty)] — the initial state for universe [{0..size-1}],
-    evaluating on [pool]. The pool is borrowed, not owned: several
-    states may share one (their requests must not be interleaved from
-    different threads), and shutting it down is the caller's business.
-    [cutoff] (default {!Dynfo_engine.Par_eval.default_cutoff}) is the
-    smallest tuple space, or dirty frontier, worth fanning out across
-    the pool's lanes; [~cutoff:0] forces the parallel path. *)
+    evaluating on [pool] (default {!Dynfo_engine.Pool.inline}). The pool
+    is borrowed, not owned: several states may share one (their requests
+    must not be interleaved from different threads), and shutting it
+    down is the caller's business. [cutoff] (default
+    {!Dynfo_engine.Pool.default_cutoff}) is the smallest tuple space, or
+    dirty frontier, worth fanning out across the pool's lanes; every
+    evaluator the state calls gets both, and [~cutoff:0] forces the
+    fan-out. *)
 
 val structure : state -> Structure.t
 (** The full combined structure (input + auxiliary relations). *)
@@ -239,8 +242,8 @@ val step_batch_full :
 val restore :
   ?pool:Dynfo_engine.Pool.t -> ?cutoff:int -> Program.t -> Structure.t -> state
 (** Adopt a deserialized combined structure (snapshot restore) as the
-    current state, evaluating on [pool] as in {!init}, with an empty
-    frontier cache. Raises
+    current state, evaluating on [pool] with [cutoff] as in {!init}, with
+    an empty frontier cache. Raises
     [Invalid_argument] if the structure does not expose the program's
     whole input+aux vocabulary — the same check {!init} applies to
     [f_n(empty)]. *)

@@ -129,6 +129,17 @@ let shutdown t =
     t.workers <- [||]
   end
 
+let inline = create ~lanes:1 ()
+let default_cutoff = 2048
+
+let tuple_space ~size ~arity =
+  let rec go acc i =
+    if i = 0 then acc
+    else if acc > max_int / size then max_int
+    else go (acc * size) (i - 1)
+  in
+  go 1 arity
+
 let with_pool ?lanes f =
   let t = create ?lanes () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)

@@ -13,7 +13,16 @@
     job deadlocks — and a pool must only be driven by one caller at a
     time. Both restrictions are fine for the engine: one request is
     evaluated at a time, and nested parallelism (rules x tuples) is
-    flattened before submission. *)
+    flattened before submission.
+
+    The evaluators ([Dynfo_logic.Eval.define],
+    [Dynfo_logic.Bulk_eval.define]/[holds],
+    [Dynfo_logic.Delta_eval.define]) take a pool and a fan-out
+    [cutoff]. Each runs one kernel over a range — tuple-prefix codes,
+    destination words or frontier words — through {!parallel_for}: on
+    {!inline} (their default) that is one call over the whole range, the
+    sequential loop; on more lanes it is one call per chunk, with the
+    per-lane results merged after the job returns. *)
 
 type t
 
@@ -43,6 +52,21 @@ val parallel_for :
 val shutdown : t -> unit
 (** Terminate and join the worker domains. Idempotent; the pool rejects
     further jobs. *)
+
+val inline : t
+(** The shared one-lane pool: it spawns no domain and runs every job in
+    the calling domain, so any thread may use it. The evaluators'
+    default; never shut it down. *)
+
+val default_cutoff : int
+(** 2048 — the evaluators' default fan-out cutoff: the smallest tuple
+    space (or dirty frontier, in tuples) worth splitting across lanes,
+    roughly where per-request fan-out cost (a condition-variable round
+    trip plus one compile per lane) drops below the enumeration cost it
+    saves. Below it an evaluator runs on {!inline}. *)
+
+val tuple_space : size:int -> arity:int -> int
+(** [size ^ arity], saturating at [max_int]. *)
 
 val with_pool : ?lanes:int -> (t -> 'a) -> 'a
 (** [with_pool ~lanes f] runs [f] over a fresh pool, shutting it down on

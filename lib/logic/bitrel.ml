@@ -356,7 +356,15 @@ let clear_words t ws =
     (fun w ->
       check_word t w;
       set_word t w 0)
-    ws
+    ws;
+  match t.store with
+  | Dense _ -> ()
+  | Paged tbl ->
+      (* hand every touched page that is now all-zero back to the [None]
+         sentinel — once per page, not once per word — so a mask's
+         resident pages track its current words, not its history *)
+      List.iter (normalize t tbl)
+        (List.sort_uniq Int.compare (List.map (fun w -> w lsr page_shift) ws))
 
 let popcount_words t ws =
   List.fold_left
@@ -420,6 +428,17 @@ let iter_codes_between f t ~word_lo ~word_hi =
       skip !skips
 
 let iter_codes f t = iter_codes_between f t ~word_lo:0 ~word_hi:t.wc
+
+(* About eight chunks per lane, rounded up to whole pages: no two lanes
+   ever write the same page of a paged destination, so copy-on-write
+   page installs need no synchronisation (distinct slots of the page
+   table), and the chunks skip exactly the absent pages one whole-range
+   pass would. On a dense store the alignment is harmless. *)
+let parallel_words pool ~lo ~hi body =
+  let c = max 1 ((hi - lo) / (8 * Dynfo_engine.Pool.lanes pool)) in
+  Dynfo_engine.Pool.parallel_for pool
+    ~chunk:((c + page_words - 1) / page_words * page_words)
+    ~lo ~hi body
 
 let iter_members f t =
   iter_codes (fun c -> f (Tuple.decode ~size:t.size ~arity:t.arity c)) t

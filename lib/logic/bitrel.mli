@@ -152,7 +152,10 @@ val clear_words : t -> int list -> unit
 (** Zero the listed words in place ([Invalid_argument] on an index
     outside [\[0, word_count t)]). With the dirty-word list recorded by
     {!set_slab}'s [record] callback, this resets a persistent mask in
-    O(words touched last step) instead of reallocating [n^k] bits. *)
+    O(words touched last step) instead of reallocating [n^k] bits. On a
+    paged store every touched page left all-zero returns to the absent
+    sentinel (checked once per page), so a long-lived mask's
+    {!pages_resident} does not grow under churn. *)
 
 val is_empty : t -> bool
 
@@ -164,10 +167,24 @@ val iter_codes : (int -> unit) -> t -> unit
 
 val iter_codes_between : (int -> unit) -> t -> word_lo:int -> word_hi:int -> unit
 (** {!iter_codes} restricted to the members whose bits fall in the words
-    [\[word_lo, word_hi)] — the chunk-addressable form the parallel
-    engine uses to split a dirty-frontier mask across domains (distinct
-    word ranges partition the members). Raises [Invalid_argument] on a
-    range outside [\[0, word_count t\]]. *)
+    [\[word_lo, word_hi)] — the chunk-addressable form the delta
+    backend's splice uses to split a dirty-frontier mask across pool
+    lanes (distinct word ranges partition the members). Raises
+    [Invalid_argument] on a range outside [\[0, word_count t\]]. *)
+
+val parallel_words :
+  Dynfo_engine.Pool.t ->
+  lo:int ->
+  hi:int ->
+  (lane:int -> int -> int -> unit) ->
+  unit
+(** [parallel_words pool ~lo ~hi body] is {!Dynfo_engine.Pool.parallel_for}
+    over the word range [\[lo, hi)] with chunks of whole pages (about
+    eight per lane): one [body ~lane:0 lo hi] call on a one-lane pool.
+    With [lo] page-aligned, no two lanes write one page, so the word
+    kernels ({!blit_op}, {!complement_into}, {!project}) may run per
+    chunk on a paged destination without synchronisation, and a chunked
+    pass skips exactly the absent pages a whole-range pass would. *)
 
 val iter_members : (Tuple.t -> unit) -> t -> unit
 (** Visit every member as a decoded (freshly allocated) tuple. *)

@@ -1,6 +1,4 @@
-type par_for = lo:int -> hi:int -> (int -> int -> unit) -> unit
-
-let seq_for : par_for = fun ~lo ~hi body -> if hi > lo then body lo hi
+open Dynfo_engine
 
 (* --- precomputed numeric bitrels ----------------------------------------- *)
 
@@ -42,7 +40,7 @@ type ctx = {
   st : Structure.t;
   n : int;
   env : (string * int) list;
-  pfor : par_for;
+  pool : Pool.t;
 }
 
 (* a term is a scope coordinate or a known constant *)
@@ -209,7 +207,8 @@ let rec eval ctx m lookup (f : Formula.t) : Bitrel.t =
   | Not g ->
       let bg = eval ctx m lookup g in
       let dst = Bitrel.create ~size:ctx.n ~arity:m in
-      ctx.pfor ~lo:0 ~hi:(Bitrel.word_count dst) (fun l r ->
+      Bitrel.parallel_words ctx.pool ~lo:0 ~hi:(Bitrel.word_count dst)
+        (fun ~lane:_ l r ->
           Bitrel.complement_into ~dst bg ~word_lo:l ~word_hi:r;
           Eval.add_work (r - l));
       dst
@@ -224,7 +223,8 @@ and binop ctx m lookup op g h =
   let a = eval ctx m lookup g in
   let b = eval ctx m lookup h in
   let dst = Bitrel.create ~size:ctx.n ~arity:m in
-  ctx.pfor ~lo:0 ~hi:(Bitrel.word_count dst) (fun l r ->
+  Bitrel.parallel_words ctx.pool ~lo:0 ~hi:(Bitrel.word_count dst)
+    (fun ~lane:_ l r ->
       Bitrel.blit_op op ~dst a b ~word_lo:l ~word_hi:r;
       Eval.add_work (r - l));
   dst
@@ -243,7 +243,8 @@ and quant ctx m lookup op vs g =
       let body = eval ctx (m + k) inner g in
       let dst = Bitrel.create ~size:ctx.n ~arity:m in
       let block = Bitrel.length body / Bitrel.length dst in
-      ctx.pfor ~lo:0 ~hi:(Bitrel.word_count dst) (fun l r ->
+      Bitrel.parallel_words ctx.pool ~lo:0 ~hi:(Bitrel.word_count dst)
+        (fun ~lane:_ l r ->
           Bitrel.project op ~block ~src:body ~dst ~word_lo:l ~word_hi:r;
           (* per output word: bits_per_word output bits, block source
              bits each — block words scanned, no-early-exit model *)
@@ -252,12 +253,19 @@ and quant ctx m lookup op vs g =
 
 (* --- public API ---------------------------------------------------------- *)
 
-let bitrel ?(pfor = seq_for) st ~vars ?(env = []) f =
-  let ctx = { st; n = Structure.size st; env; pfor } in
+let bitrel ?(pool = Pool.inline) st ~vars ?(env = []) f =
+  let ctx = { st; n = Structure.size st; env; pool } in
   let lookup = List.mapi (fun i x -> (x, i)) vars in
   eval ctx (List.length vars) lookup f
 
-let define ?pfor st ~vars ?env f =
-  Bitrel.to_relation (bitrel ?pfor st ~vars ?env f)
+let define ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) st ~vars ?env
+    f =
+  let pool =
+    if Pool.tuple_space ~size:(Structure.size st) ~arity:(List.length vars)
+       < cutoff
+    then Pool.inline
+    else pool
+  in
+  Bitrel.to_relation (bitrel ~pool st ~vars ?env f)
 
-let holds ?pfor st ?env f = Bitrel.mem (bitrel ?pfor st ~vars:[] ?env f) [||]
+let holds ?pool st ?env f = Bitrel.mem (bitrel ?pool st ~vars:[] ?env f) [||]

@@ -41,32 +41,42 @@
     ([Dynfo_analysis.Metrics]). {!Bitrel.create} raises
     [Invalid_argument] if that overflows [max_int]. *)
 
-type par_for = lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** A chunked-for-loop driver: [pfor ~lo ~hi body] must invoke
-    [body l r] on disjoint subranges covering [\[lo, hi)] (in any order,
-    possibly concurrently — the ranges index disjoint words of the
-    kernels' destination). The default runs [body lo hi] inline;
-    [Dynfo_engine.Par_bulk] passes the domain pool's [parallel_for]. *)
-
 val define :
-  ?pfor:par_for ->
+  ?pool:Dynfo_engine.Pool.t ->
+  ?cutoff:int ->
   Structure.t ->
   vars:string list ->
   ?env:(string * int) list ->
   Formula.t ->
   Relation.t
 (** Drop-in replacement for {!Eval.define}: the relation
-    [{ (x1,...,xk) | st |= f(x1,...,xk) }]. *)
+    [{ (x1,...,xk) | st |= f(x1,...,xk) }]. Every word kernel runs over
+    its destination's words through {!Bitrel.parallel_words} on [pool]:
+    one call on the default {!Dynfo_engine.Pool.inline}, page-aligned
+    chunks on more lanes — one level of the update formula's CRAM[1]
+    circuit split into disjoint word ranges, [bits_per_word] tuples per
+    word by the bitset and [lanes] words at a time by the pool. Atom
+    materialisation stays on the calling domain (it is member-sparse and
+    write-racy to split). Results and work counts do not depend on the
+    pool. Target spaces smaller than [cutoff] (default
+    {!Dynfo_engine.Pool.default_cutoff}) run inline. *)
 
 val bitrel :
-  ?pfor:par_for ->
+  ?pool:Dynfo_engine.Pool.t ->
   Structure.t ->
   vars:string list ->
   ?env:(string * int) list ->
   Formula.t ->
   Bitrel.t
-(** Like {!define} but keeps the dense form (no sparse conversion). *)
+(** Like {!define} but keeps the dense form (no sparse conversion), and
+    fans out on any multi-lane [pool] (no cutoff). *)
 
 val holds :
-  ?pfor:par_for -> Structure.t -> ?env:(string * int) list -> Formula.t -> bool
-(** Drop-in replacement for {!Eval.holds} (a 0-ary {!bitrel}). *)
+  ?pool:Dynfo_engine.Pool.t ->
+  Structure.t ->
+  ?env:(string * int) list ->
+  Formula.t ->
+  bool
+(** Drop-in replacement for {!Eval.holds} (a 0-ary {!bitrel}): no
+    cutoff, since the quantifier scopes inside a sentence can still be
+    large. *)

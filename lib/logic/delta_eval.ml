@@ -16,8 +16,8 @@
    dirty frontier: tuples outside it keep their old value. The static
    analysis (Dynfo_analysis.Support) computes those bounds as [sup]
    values; this module materialises them as a Bitrel dirty mask,
-   re-evaluates the *full* body only on the frontier with Eval.tester,
-   and splices the flips into the persistent old relation. When the
+   re-evaluates the *full* body only on the frontier with a compiled
+   tester, and splices the flips into the persistent old relation. When the
    frontier exceeds [cutoff () * tuple-space] the rule falls back to a
    full recompute on the plan's fallback backend.
 
@@ -35,6 +35,8 @@
    the flipping tuples, and every frontier tuple is re-tested with the
    full body — and the stateless [frontier] builder is kept as the
    reference the qcheck equivalence law compares against. *)
+
+open Dynfo_engine
 
 type pin = { coord : int; value : Formula.term }
 
@@ -324,58 +326,6 @@ let frontier st ~env ~base (plan : rule_plan) : frontier =
             Eval.add_work (Bitrel.word_count mask);
             if Bitrel.popcount mask >= budget then `Full else `Mask mask
           with Over_budget -> `Full))
-
-(* --- evaluation ----------------------------------------------------------- *)
-
-let full_define (fallback : [ `Tuple | `Bulk ]) st ~vars ~env f =
-  match fallback with
-  | `Tuple -> Eval.define st ~vars ~env f
-  | `Bulk -> Bulk_eval.define st ~vars ~env f
-
-(* Re-evaluate the full body on every frontier tuple and splice the flips
-   into the (persistent) old value. [test] must be a tester for
-   [plan.rp_body] over [plan.rp_vars]. *)
-let splice ~test ~base mask =
-  let size = Bitrel.size mask in
-  let arity = Bitrel.arity mask in
-  let out = ref base in
-  Bitrel.iter_codes
-    (fun code ->
-      let tup = Tuple.decode ~size ~arity code in
-      let now = test tup in
-      if now <> Relation.mem_unchecked base tup then
-        out := (if now then Relation.add !out tup else Relation.remove !out tup))
-    mask;
-  !out
-
-let splice_tuples ~test ~base tups =
-  List.fold_left
-    (fun out tup ->
-      let now = test tup in
-      if now <> Relation.mem_unchecked base tup then
-        if now then Relation.add out tup else Relation.remove out tup
-      else out)
-    base tups
-
-(* [splice] restricted to a dirty-word list: the persistent-mask path
-   knows the mask is zero outside these words, so iterating them visits
-   exactly the frontier. *)
-let splice_words ~test ~base mask words =
-  let size = Bitrel.size mask in
-  let arity = Bitrel.arity mask in
-  let out = ref base in
-  List.iter
-    (fun w ->
-      Bitrel.iter_codes_between
-        (fun code ->
-          let tup = Tuple.decode ~size ~arity code in
-          let now = test tup in
-          if now <> Relation.mem_unchecked base tup then
-            out :=
-              (if now then Relation.add !out tup else Relation.remove !out tup))
-        mask ~word_lo:w ~word_hi:(w + 1))
-    words;
-  !out
 
 (* --- persistent per-rule frontier state ----------------------------------- *)
 
@@ -781,26 +731,122 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
             with Over_budget -> `Full
           end)
 
-let with_state ~cache st ?(env = []) ?batch (plan : rule_plan) f =
+(* --- evaluation ----------------------------------------------------------- *)
+
+(* Run [f] on the rule's state and frontier under the cache's lock: the
+   compiled testers own mutable slot arrays and a [`Mask_words] frontier
+   borrows the state's scratch mask, so both stay valid for exactly as
+   long as the lock is held ([f] must not re-enter this module). The
+   body's tester is bound before guards or the mask are touched, so the
+   delta path surfaces the same compile-time errors (unknown relations,
+   arity mismatches, unbound variables) as a full evaluation, even when
+   the frontier turns out to be empty. *)
+let with_state ~cache st ~env ?batch (plan : rule_plan) f =
   Mutex.protect cache.c_lock (fun () ->
-      (* bind the body's tester before touching guards or the mask: the
-         delta path must surface the same compile-time errors (unknown
-         relations, arity mismatches, unbound variables) as a full
-         evaluation, even when the frontier turns out to be empty *)
       let s = find_state cache st ~env plan in
       let base = Structure.rel st plan.rp_target in
-      f ~test:(Eval.test_compiled s.s_tester) ~base
-        (frontier_state s ?batch st ~env ~base))
+      f s ~base (frontier_state s ?batch st ~env ~base))
 
-let define ~cache ?(fallback = `Tuple) st ?(env = []) ?batch
-    (plan : rule_plan) =
+let with_frontier ~cache st ?(env = []) plan f =
+  with_state ~cache st ~env plan (fun _ ~base:_ fr -> f fr)
+
+(* Re-test the frontier with the full body and splice the flips into the
+   (persistent) old value [base]: one kernel over frontier words — the
+   mask's whole word range for [`Mask], the dirty-word list for
+   [`Mask_words] — run by [Pool.parallel_for]. Lane 0 re-tests with the
+   state's cached tester and splices its flips straight into the result,
+   which on a one-lane pool is the whole splice; every other lane
+   compiles its own tester on first use (testers charge their compiling
+   domain and own a slot array) and collects its flips, which are
+   spliced in after the job returns. Distinct words partition the
+   frontier, so the flips are disjoint and the result is the same on any
+   pool. A frontier below [cutoff] tuples, and the [`Tuples] fast path
+   (a handful of tuples at most), never fan out. *)
+let splice ~pool ~cutoff st ~env (s : state) ~base
+    (fr :
+      [ `Mask of Bitrel.t
+      | `Mask_words of Bitrel.t * int list
+      | `Tuples of Tuple.t list ]) =
+  let pool =
+    if
+      Pool.lanes pool = 1
+      ||
+      match fr with
+      | `Mask m -> Bitrel.popcount m < cutoff
+      | `Mask_words (m, ws) -> Bitrel.popcount_words m ws < cutoff
+      | `Tuples _ -> true
+    then Pool.inline
+    else pool
+  in
+  let out = ref base in
+  let flips = Array.make (Pool.lanes pool) [] in
+  let testers = Array.make (Pool.lanes pool) None in
+  (* one lane's re-test, resolved once per chunk *)
+  let lane_retest lane =
+    let test, flip =
+      if lane = 0 then
+        ( Eval.test_compiled s.s_tester,
+          fun tup now ->
+            out :=
+              if now then Relation.add !out tup else Relation.remove !out tup )
+      else
+        let test =
+          match testers.(lane) with
+          | Some t -> t
+          | None ->
+              let t =
+                Eval.test_compiled
+                  (Eval.compile_tester st ~vars:s.s_plan.rp_vars ~env
+                     s.s_plan.rp_body)
+              in
+              testers.(lane) <- Some t;
+              t
+        in
+        (test, fun tup now -> flips.(lane) <- (tup, now) :: flips.(lane))
+    in
+    fun tup ->
+      let now = test tup in
+      if now <> Relation.mem_unchecked base tup then flip tup now
+  in
+  let retest_words retest mask ~word_lo ~word_hi =
+    let size = Bitrel.size mask and arity = Bitrel.arity mask in
+    Bitrel.iter_codes_between
+      (fun code -> retest (Tuple.decode ~size ~arity code))
+      mask ~word_lo ~word_hi
+  in
+  (match fr with
+  | `Tuples tups -> List.iter (lane_retest 0) tups
+  | `Mask mask ->
+      Bitrel.parallel_words pool ~lo:0 ~hi:(Bitrel.word_count mask)
+        (fun ~lane word_lo word_hi ->
+          retest_words (lane_retest lane) mask ~word_lo ~word_hi)
+  | `Mask_words (mask, words) ->
+      let words = Array.of_list words in
+      Pool.parallel_for pool ~lo:0 ~hi:(Array.length words) (fun ~lane l r ->
+          let retest = lane_retest lane in
+          for i = l to r - 1 do
+            retest_words retest mask ~word_lo:words.(i)
+              ~word_hi:(words.(i) + 1)
+          done));
+  Array.fold_left
+    (List.fold_left (fun rel (tup, now) ->
+         if now then Relation.add rel tup else Relation.remove rel tup))
+    !out flips
+
+let define ~cache ?(fallback = `Tuple) ?(pool = Pool.inline)
+    ?(cutoff = Pool.default_cutoff) st ?(env = []) ?batch (plan : rule_plan) =
+  let full () =
+    match fallback with
+    | `Tuple ->
+        Eval.define ~pool ~cutoff st ~vars:plan.rp_vars ~env plan.rp_body
+    | `Bulk ->
+        Bulk_eval.define ~pool ~cutoff st ~vars:plan.rp_vars ~env plan.rp_body
+  in
   match plan.rp_frame with
-  | None -> full_define fallback st ~vars:plan.rp_vars ~env plan.rp_body
+  | None -> full ()
   | Some _ ->
-      with_state ~cache st ~env ?batch plan (fun ~test ~base fr ->
+      with_state ~cache st ~env ?batch plan (fun s ~base fr ->
           match fr with
-          | `Full ->
-              full_define fallback st ~vars:plan.rp_vars ~env plan.rp_body
-          | `Tuples tups -> splice_tuples ~test ~base tups
-          | `Mask mask -> splice ~test ~base mask
-          | `Mask_words (mask, words) -> splice_words ~test ~base mask words)
+          | `Full -> full ()
+          | (`Tuples _ | `Mask _ | `Mask_words _) as fr ->
+              splice ~pool ~cutoff st ~env s ~base fr)

@@ -34,7 +34,7 @@
     dedupe overlapping patterns for free); if its size reaches
     [cutoff () * size^arity] the rule recomputes in full on the plan's
     fallback backend — the [--delta-cutoff] threshold. Frontier tuples
-    are re-tested with the {e full} body via {!Eval.tester}, so the
+    are re-tested with the {e full} body via {!Eval.compile_tester}, so the
     support analysis only ever has to be an upper bound, never exact.
     Work accounting: mask words and anchor scans are charged via
     {!Eval.add_work}, frontier re-tests charge atomic evaluations as
@@ -146,7 +146,8 @@ type frontier =
     the codes are enumerated directly and no {!Bitrel} is touched: the
     per-step mask fills/popcounts, which cost O(space/word-size) even
     for a one-tuple frontier, disappear entirely. [`Mask_words] is the
-    persistent-mask form returned by {!with_state}: the mask is only
+    persistent-mask form of the stateful path ({!with_frontier},
+    {!define}): the mask is only
     meaningful on the listed dirty words (it is zero elsewhere) and is
     {e borrowed} — it belongs to the {!cache} and is rewritten by the
     rule's next step. *)
@@ -165,8 +166,8 @@ val frontier :
     the rule has no frame, the estimated or actual frontier reaches the
     budget, or the tuple space overflows. [base] must be the target's
     pre-state value. Never returns [`Mask_words] and keeps no state —
-    the qcheck law holds {!with_state}'s incrementally-maintained
-    frontier equal to this one, step by step. *)
+    the qcheck law holds the incrementally-maintained frontier of
+    {!with_frontier} equal to this one, step by step. *)
 
 (** {1 Batch scopes}
 
@@ -204,25 +205,21 @@ val new_cache : unit -> cache
 (** An empty cache. [Dynfo.Runner.init] and [Dynfo.Runner.restore]
     create one per runner; every state stepped from it shares it. *)
 
-val with_state :
+val with_frontier :
   cache:cache ->
   Structure.t ->
   ?env:(string * int) list ->
-  ?batch:batch ->
   rule_plan ->
-  (test:(Tuple.t -> bool) -> base:Relation.t -> frontier -> 'a) ->
+  (frontier -> 'a) ->
   'a
-(** Evaluate [f] with the rule's persistent frontier state in [cache],
-    under the cache's lock: [test] is the cached (rebound) body tester,
-    [base] the target's pre-state value, and the frontier is maintained
-    incrementally — same emissions and budget decisions as {!frontier},
-    with the fixed per-step costs amortised. The lock is held for the
-    whole of [f] ([f] must not re-enter this module), which is how
-    {!define} and the parallel engine ([Par_delta]) both ride the same
-    state: a borrowed [`Mask_words] buffer stays valid for exactly that
-    long. Compile-time errors of the body surface before the frontier
-    is touched, as in {!define}. [batch] opens/joins a batch scope (see
-    above); without it every call clears the previous step's words. *)
+(** [with_frontier ~cache st ~env plan f] applies [f] to the frontier
+    {!define} would splice at this step, maintained incrementally in the
+    rule's persistent state in [cache] — same emissions and budget
+    decisions as {!frontier}, with the fixed per-step costs amortised.
+    [f] runs under the cache's lock, for as long as a borrowed
+    [`Mask_words] buffer stays valid; it must not re-enter this module.
+    The qcheck law holding the warm state to the stateless {!frontier}
+    reads frontiers this way. *)
 
 val fast_hits : unit -> int
 (** Process-lifetime count of fully-pinned single-tuple frontiers taken
@@ -250,27 +247,6 @@ val words_cleared : unit -> int
     refills — the O(frontier) replacement for reallocating and zeroing
     [n^k] bits per step. *)
 
-val splice :
-  test:(Tuple.t -> bool) -> base:Relation.t -> Bitrel.t -> Relation.t
-(** Re-test every mask member with [test] (a {!Eval.tester} of the full
-    rule body) and apply the flips to [base]. The parallel engine calls
-    this sequentially under its cutoff; above it, it partitions the mask
-    words across lanes itself. *)
-
-val splice_tuples :
-  test:(Tuple.t -> bool) -> base:Relation.t -> Tuple.t list -> Relation.t
-(** {!splice} over an explicit (fast-path) frontier. *)
-
-val splice_words :
-  test:(Tuple.t -> bool) ->
-  base:Relation.t ->
-  Bitrel.t ->
-  int list ->
-  Relation.t
-(** {!splice} over a [`Mask_words] frontier: only the listed words are
-    iterated (the persistent mask is zero elsewhere), so the splice is
-    O(frontier), not O(space/word-size). *)
-
 val memo_hits : unit -> int
 
 val memo_misses : unit -> int
@@ -281,28 +257,35 @@ val memo_misses : unit -> int
     across the steps of a run and the requests of a batch. These
     counters expose the cache behaviour for tests and benches. *)
 
-val full_define :
-  [ `Tuple | `Bulk ] ->
-  Structure.t ->
-  vars:string list ->
-  env:(string * int) list ->
-  Formula.t ->
-  Relation.t
-(** The fallback: {!Eval.define} or {!Bulk_eval.define}. *)
-
 val define :
   cache:cache ->
   ?fallback:[ `Tuple | `Bulk ] ->
+  ?pool:Dynfo_engine.Pool.t ->
+  ?cutoff:int ->
   Structure.t ->
   ?env:(string * int) list ->
   ?batch:batch ->
   rule_plan ->
   Relation.t
-(** Evaluate one rule: frontier + splice (through [cache], as in
-    {!with_state}) when the frame admits it, full recompute otherwise.
-    Equal to [full_define fallback st ~vars:rp_vars ~env rp_body] by the
-    frame identity — the lockstep tests assert exactly that,
-    structure-wide.
+(** Evaluate one rule: build its frontier in [cache] (as in
+    {!with_frontier}) when the frame admits it and re-test the full body
+    on every frontier tuple, splicing the flips into the target's old
+    value; otherwise recompute in full on [fallback] ({!Eval.define} or
+    {!Bulk_eval.define}, default [`Tuple], given the same [pool] and
+    [cutoff]). Equal to that full recompute by the frame identity — the
+    lockstep tests assert exactly that, structure-wide.
+
+    The re-test is one kernel over frontier words (the mask's word range
+    for [`Mask], its dirty words for [`Mask_words]) run by
+    {!Dynfo_engine.Pool.parallel_for} on [pool]: on the default
+    {!Dynfo_engine.Pool.inline} it splices directly; on more lanes, lane
+    0 re-tests with the state's cached tester, every other lane compiles
+    its own and collects its flips, and those flips are spliced after the
+    job returns. [`Tuples] frontiers and frontiers below [cutoff] tuples
+    (default {!Dynfo_engine.Pool.default_cutoff}) never fan out. [batch]
+    opens/joins a batch scope (see above); without it every call clears
+    the previous step's words.
+
     Compile-time errors of the body (unknown relation, arity, unbound
     variable) are raised exactly as a full evaluation would raise them,
     even when the frontier is empty. *)

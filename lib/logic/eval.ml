@@ -1,3 +1,5 @@
+open Dynfo_engine
+
 exception Unbound_variable of string
 exception Unknown_relation of string
 exception Arity_error of string
@@ -8,8 +10,8 @@ exception Arity_error of string
    total is exact no matter which domains performed the evaluations;
    [reset_work] zeroes them all. Closures capture the counter of the
    domain that *compiled* them, so a compiled formula must be evaluated
-   by its compiling domain — which is how {!Dynfo_engine.Par_eval} uses
-   it (each worker compiles its own copy). *)
+   by its compiling domain — which is why every pool lane of [define]
+   compiles its own copy. *)
 let all_counters : int ref list Atomic.t = Atomic.make []
 
 let counter_key =
@@ -191,95 +193,100 @@ let compile_bound b env next f =
   in
   go env f
 
-let compile st env next f = compile_bound (bound_of_structure st) env next f
-
-let prepare st env f =
+(* Compile [f] over the slot layout every entry point shares: the tuple
+   variables [vars] first, then the environment's names. Returns the
+   environment's slots, a slot array with the environment values loaded,
+   and the closure over it. *)
+let compile_slots b ~vars ~env f =
   let next = ref 0 in
-  let slots =
+  let slots names =
     List.map
-      (fun (x, _) ->
+      (fun x ->
         let s = !next in
         incr next;
         (x, s))
-      env
+      names
   in
-  let fn = compile st slots next f in
+  let var_slots = slots vars in
+  let env_slots = slots (List.map fst env) in
+  let fn = compile_bound b (var_slots @ env_slots) next f in
   let a = Array.make (max 1 !next) 0 in
-  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) slots env;
-  (a, fn)
+  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
+  (env_slots, a, fn)
 
 let holds st ?(env = []) f =
-  let a, fn = prepare st env f in
+  let _, a, fn = compile_slots (bound_of_structure st) ~vars:[] ~env f in
   fn a
 
-let define st ~vars ?(env = []) f =
+(* One kernel over tuple-prefix codes: the first [min arity 2]
+   coordinates flattened (n or n^2 units, fine-grained enough to balance
+   up to 128 lanes), the remaining ones enumerated inside each unit, in
+   the same lexicographic order as a plain nested loop. A lane compiles
+   its own closure on first use — so the work it charges is its own
+   domain's and its slot array is unshared — and collects its hits as
+   [Array.sub] blits of the variable prefix. On a one-lane pool that is
+   one compile, one hit list and one [Relation.of_list]; on more lanes
+   the lanes' hit lists are concatenated into that one set build. Every
+   candidate is tested exactly once either way, so the relation and the
+   FO work count do not depend on the pool. *)
+let define ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) st ~vars
+    ?(env = []) f =
   let n = Structure.size st in
   let arity = List.length vars in
-  let next = ref 0 in
-  let var_slots =
-    List.map
-      (fun x ->
-        let s = !next in
-        incr next;
-        (x, s))
-      vars
+  let pool =
+    if Pool.tuple_space ~size:n ~arity < cutoff then Pool.inline else pool
   in
-  let env_slots =
-    List.map
-      (fun (x, _) ->
-        let s = !next in
-        incr next;
-        (x, s))
-      env
-  in
-  let fn = compile st (var_slots @ env_slots) next f in
-  let a = Array.make (max 1 !next) 0 in
-  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
-  (* accepted tuples are collected and turned into a relation once at
-     the end — one set build instead of a persistent-set rebuild per
-     tuple — and each hit is a single [Array.sub] blit of the variable
-     prefix of the slot array rather than an [Array.init] closure. *)
-  let hits = ref [] in
-  let rec enum i =
-    if i = arity then begin
-      if fn a then hits := Array.sub a 0 arity :: !hits
-    end
-    else
-      for v = 0 to n - 1 do
-        a.(i) <- v;
-        enum (i + 1)
-      done
-  in
-  enum 0;
-  Relation.of_list ~arity !hits
-
-let tester st ~vars ?(env = []) f =
-  let arity = List.length vars in
-  let next = ref 0 in
-  let var_slots =
-    List.map
-      (fun x ->
-        let s = !next in
-        incr next;
-        (x, s))
-      vars
-  in
-  let env_slots =
-    List.map
-      (fun (x, _) ->
-        let s = !next in
-        incr next;
-        (x, s))
-      env
-  in
-  let fn = compile st (var_slots @ env_slots) next f in
-  let a = Array.make (max 1 !next) 0 in
-  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
-  fun tup ->
-    if Array.length tup <> arity then
-      invalid_arg "Eval.tester: tuple arity mismatch";
-    Array.blit tup 0 a 0 arity;
-    fn a
+  let b = bound_of_structure st in
+  let lanes = Array.make (Pool.lanes pool) None in
+  let prefix = min arity 2 in
+  Pool.parallel_for pool ~lo:0 ~hi:(Pool.tuple_space ~size:n ~arity:prefix)
+    (fun ~lane lo hi ->
+      let a, fn, hits =
+        match lanes.(lane) with
+        | Some l -> l
+        | None ->
+            let _, a, fn = compile_slots b ~vars ~env f in
+            let l = (a, fn, ref []) in
+            lanes.(lane) <- Some l;
+            l
+      in
+      let rec enum i =
+        if i = arity then begin
+          if fn a then hits := Array.sub a 0 arity :: !hits
+        end
+        else
+          for v = 0 to n - 1 do
+            a.(i) <- v;
+            enum (i + 1)
+          done
+      in
+      (* decode [lo] into the prefix coordinates once, then count up *)
+      let rec decode i c =
+        if i >= 0 then begin
+          a.(i) <- c mod n;
+          decode (i - 1) (c / n)
+        end
+      in
+      let rec next i =
+        if i >= 0 then
+          if a.(i) = n - 1 then begin
+            a.(i) <- 0;
+            next (i - 1)
+          end
+          else a.(i) <- a.(i) + 1
+      in
+      decode (prefix - 1) lo;
+      for _ = lo to hi - 1 do
+        enum prefix;
+        next (prefix - 1)
+      done);
+  Relation.of_list ~arity
+    (Array.fold_left
+       (fun acc -> function
+         | None -> acc
+         | Some (_, _, hits) ->
+             if acc = [] then !hits else List.rev_append !hits acc)
+       [] lanes)
 
 (* --- rebindable testers --------------------------------------------------- *)
 
@@ -321,30 +328,10 @@ let compile_tester st ~vars ?(env = []) f =
               r);
     }
   in
-  let arity = List.length vars in
-  let next = ref 0 in
-  let var_slots =
-    List.map
-      (fun x ->
-        let s = !next in
-        incr next;
-        (x, s))
-      vars
-  in
-  let env_slots =
-    List.map
-      (fun (x, _) ->
-        let s = !next in
-        incr next;
-        (x, s))
-      env
-  in
-  let fn = compile_bound b (var_slots @ env_slots) next f in
-  let a = Array.make (max 1 !next) 0 in
-  List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
+  let env_slots, a, fn = compile_slots b ~vars ~env f in
   {
     c_size = b.b_size;
-    c_arity = arity;
+    c_arity = List.length vars;
     c_env_names = List.map fst env;
     c_rels = rels;
     c_consts = consts;

@@ -18,10 +18,10 @@
 
     The counter is {e domain-safe}: every domain increments a private
     counter (no contention on the hot path) and {!work} aggregates them,
-    so totals stay exact when formulas are evaluated in parallel by
-    {!Dynfo_engine.Par_eval}. One caveat follows from the implementation:
-    a compiled closure charges the domain that compiled it, so cross-domain
-    hand-off of compiled formulas mis-attributes (but never loses) work. *)
+    so totals stay exact when {!define} runs on a multi-lane pool. One
+    caveat follows from the implementation: a compiled closure charges
+    the domain that compiled it, so cross-domain hand-off of compiled
+    formulas mis-attributes (but never loses) work. *)
 
 exception Unbound_variable of string
 (** An identifier is neither a bound variable, an environment entry, nor a
@@ -42,6 +42,8 @@ val holds : Structure.t -> ?env:(string * int) list -> Formula.t -> bool
     for its free variables. *)
 
 val define :
+  ?pool:Dynfo_engine.Pool.t ->
+  ?cutoff:int ->
   Structure.t ->
   vars:string list ->
   ?env:(string * int) list ->
@@ -51,36 +53,36 @@ val define :
     [{ (x1,...,xk) | st |= f(x1,...,xk) }] where [vars = [x1;...;xk]].
     Extra free variables of [f] must be covered by [env] or by constant
     symbols. This is how a dynamic program computes the new value of an
-    auxiliary relation from an update formula. *)
+    auxiliary relation from an update formula.
 
-val tester :
-  Structure.t ->
-  vars:string list ->
-  ?env:(string * int) list ->
-  Formula.t ->
-  Tuple.t ->
-  bool
-(** [tester st ~vars ~env f] compiles [f] once and returns a predicate
-    deciding [st |= f(x1,...,xk)] for any tuple [(x1,...,xk)] bound to
-    [vars] — the membership test that {!define} enumerates. Partitioned
-    enumeration (the parallel engine) calls this so that each domain owns
-    its own compiled closure and slot array; the returned closure is not
-    safe to share between domains. *)
+    The candidate tuples are enumerated by one kernel over their prefix
+    codes (the first two coordinates), run by
+    {!Dynfo_engine.Pool.parallel_for} on [pool] — the CRAM side of
+    FO = CRAM[1]. On the default {!Dynfo_engine.Pool.inline} that is the
+    plain sequential enumeration; on more lanes each lane compiles its
+    own closure, enumerates its chunks and keeps its own hits, merged
+    once at the end. Every candidate is tested exactly once in either
+    case, so the relation {e and} the FO work count are the same on any
+    pool. Tuple spaces smaller than [cutoff] (default
+    {!Dynfo_engine.Pool.default_cutoff}) run inline; [~cutoff:0] forces
+    the fan-out (tests do). Must not be given a multi-lane pool from
+    inside one of that pool's jobs: the pool is not reentrant. *)
 
 (** {1 Rebindable testers}
 
-    A {!tester} resolves relation and constant symbols at compile time,
-    so it is pinned to one step's structure. A {!compiled} tester
-    resolves them through ref cells instead: {!rebind} repoints it at a
-    later structure of the {e same universe size} in O(symbols) — no
-    recompilation. This is how the delta backend amortises tester
+    A {!compiled} tester decides [st |= f(x1,...,xk)] for one tuple at a
+    time — the membership test {!define} enumerates — and resolves
+    relation and constant symbols through ref cells: {!rebind} repoints
+    it at a later structure of the {e same universe size} in O(symbols),
+    no recompilation. This is how the delta backend amortises tester
     compilation across the steps of a run (and across the requests of a
     batch): compile once per rule, rebind per step.
 
     Work attribution caveat: the compiled closure charges the domain
-    that compiled it (see the header comment), so cached testers must
-    stay on their compiling domain — the parallel engine keeps compiling
-    per-lane testers for exactly this reason. *)
+    that compiled it (see the header comment), and it owns a mutable
+    slot array, so a tester must stay on its compiling domain — the
+    delta backend's pool lanes other than lane 0 compile their own for
+    exactly this reason. *)
 
 type compiled
 
@@ -90,8 +92,9 @@ val compile_tester :
   ?env:(string * int) list ->
   Formula.t ->
   compiled
-(** Like {!tester}, but rebindable. Raises the same compile-time errors
-    ({!Unknown_relation}, {!Arity_error}, {!Unbound_variable}). *)
+(** Compile [f] once for tuples bound to [vars]. Raises the same
+    compile-time errors as {!define} ({!Unknown_relation},
+    {!Arity_error}, {!Unbound_variable}). *)
 
 val rebind : compiled -> Structure.t -> env:(string * int) list -> unit
 (** Repoint every relation and constant symbol at [st] and reload the

@@ -41,32 +41,15 @@ type resp = {
 
 (* --- backends -------------------------------------------------------------- *)
 
-let backend_to_string : Runner.backend -> string = function
-  | `Tuple -> "tuple"
-  | `Bulk -> "bulk"
-  | `Delta -> "delta"
-  | `Auto -> "auto"
+let backends : (string * Runner.backend) list =
+  [ ("tuple", `Tuple); ("bulk", `Bulk); ("delta", `Delta); ("auto", `Auto) ]
 
-let backend_of_string : string -> Runner.backend option = function
-  | "tuple" -> Some `Tuple
-  | "bulk" -> Some `Bulk
-  | "delta" -> Some `Delta
-  | "auto" -> Some `Auto
-  | _ -> None
-
-let engine_to_string = function `Seq -> "seq" | `Par -> "par"
-
-let engine_of_string = function
-  | "seq" -> Some `Seq
-  | "par" -> Some `Par
-  | _ -> None
-
-let coalesce_to_string = function `Fifo -> "fifo" | `Commute -> "commute"
-
-let coalesce_of_string = function
-  | "fifo" -> Some `Fifo
-  | "commute" -> Some `Commute
-  | _ -> None
+let engines = [ ("seq", `Seq); ("par", `Par) ]
+let coalesces = [ ("fifo", `Fifo); ("commute", `Commute) ]
+let name_in table v = fst (List.find (fun (_, v') -> v' = v) table)
+let backend_to_string = name_in backends
+let engine_to_string = name_in engines
+let coalesce_to_string = name_in coalesces
 
 (* --- encoding -------------------------------------------------------------- *)
 
@@ -155,30 +138,23 @@ let session_of j =
   let* s = require "session" (field_str j "session") in
   Ok s
 
-let backend_of j =
-  match field_str j "backend" with
-  | None -> Ok `Auto
+(* an optional name field, read through its table *)
+let named_of table ~field ~what ~default j =
+  match field_str j field with
+  | None -> Ok default
   | Some s -> (
-      match backend_of_string s with
-      | Some b -> Ok b
-      | None -> Error (Printf.sprintf "unknown backend %S" s))
+      match List.assoc_opt s table with
+      | Some v -> Ok v
+      | None -> Error (Printf.sprintf "unknown %s %S" what s))
 
-let engine_of j =
-  match field_str j "engine" with
-  | None -> Ok `Seq
-  | Some s -> (
-      match engine_of_string s with
-      | Some e -> Ok e
-      | None -> Error (Printf.sprintf "unknown engine %S" s))
+let backend_of =
+  named_of backends ~field:"backend" ~what:"backend" ~default:`Auto
+
+let engine_of = named_of engines ~field:"engine" ~what:"engine" ~default:`Seq
 
 (* optional on the wire (older clients omit it): the default drain mode *)
-let coalesce_of j =
-  match field_str j "coalesce" with
-  | None -> Ok `Commute
-  | Some s -> (
-      match coalesce_of_string s with
-      | Some c -> Ok c
-      | None -> Error (Printf.sprintf "unknown coalesce mode %S" s))
+let coalesce_of =
+  named_of coalesces ~field:"coalesce" ~what:"coalesce mode" ~default:`Commute
 
 let reqs_of j =
   let* l = require "reqs" (Option.bind (Json.member "reqs" j) Json.to_list) in

@@ -62,14 +62,16 @@ type resp = {
   r_fields : (string * Json.t) list;  (** op-specific payload *)
 }
 
+val backends : (string * Runner.backend) list
+(** The name of every backend, engine and coalesce mode — the one table
+    both the wire codec and the command line's converters read, so the
+    two cannot disagree on a name. *)
+
+val engines : (string * [ `Seq | `Par ]) list
+val coalesces : (string * [ `Fifo | `Commute ]) list
 val backend_to_string : Runner.backend -> string
-val backend_of_string : string -> Runner.backend option
-
 val engine_to_string : [ `Seq | `Par ] -> string
-val engine_of_string : string -> [ `Seq | `Par ] option
-
 val coalesce_to_string : [ `Fifo | `Commute ] -> string
-val coalesce_of_string : string -> [ `Fifo | `Commute ] option
 
 val cmd_to_json : id:int -> cmd -> Json.t
 

@@ -310,7 +310,7 @@ let test_par_bulk_define_matches () =
               let f = Parser.parse src in
               let seq = Eval.define !st ~vars f in
               let bulk = Bulk_eval.define !st ~vars f in
-              let par = Par_bulk.define pool ~cutoff:0 !st ~vars f in
+              let par = Bulk_eval.define ~pool ~cutoff:0 !st ~vars f in
               check tb (src ^ " bulk == tuple") true (Relation.equal seq bulk);
               check tb (src ^ " par-bulk == bulk") true
                 (Relation.equal bulk par))

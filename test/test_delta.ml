@@ -1,5 +1,5 @@
-(* The incremental delta backend (lib/logic/delta_eval, lib/analysis/
-   support; lib/engine/par_delta): QCheck laws for symmetric_diff and
+(* The incremental delta backend (lib/logic/delta_eval,
+   lib/analysis/support): QCheck laws for symmetric_diff and
    dirty-frontier soundness, random framed rules evaluated on all three
    backends, error parity, nullary rules, the whole registry stepped in
    lockstep under `Delta with the advisor-installed planner, and the
@@ -170,24 +170,60 @@ let random_framed_rule ?(pinned = false) rng ~size =
   in
   ({ Program.target = "R"; vars; body } : Program.rule)
 
+(* The two laws below draw half their rules with [~pinned:true] at sizes
+   up to 20, where a pinned frontier (up to 3 * size codes) fits under
+   the quarter-of-the-space budget: without pinned rules nearly every
+   slab-only frontier the generator yields is empty, and the laws would
+   almost never re-test a non-empty frontier. Each law counts the cases
+   whose (stateless) frontier is a non-empty mask or tuple list, and its
+   test case asserts that at least a fifth of the cases were. *)
+type frontier_share = { mutable cases : int; mutable nonempty : int }
+
+let count_frontier share (fr : Delta_eval.frontier) =
+  share.cases <- share.cases + 1;
+  let nonempty =
+    match fr with
+    | `Full -> false
+    | `Tuples tups -> tups <> []
+    | `Mask m -> not (Bitrel.is_empty m)
+    | `Mask_words (m, ws) -> Bitrel.popcount_words m ws > 0
+  in
+  if nonempty then share.nonempty <- share.nonempty + 1
+
+let with_frontier_share share test =
+  let name, speed, run = QCheck_alcotest.to_alcotest test in
+  ( name,
+    speed,
+    fun () ->
+      share.cases <- 0;
+      share.nonempty <- 0;
+      run ();
+      if 5 * share.nonempty < share.cases then
+        Alcotest.failf "only %d of %d cases re-tested a non-empty frontier"
+          share.nonempty share.cases )
+
+let frontier_sound_share = { cases = 0; nonempty = 0 }
+
 let frontier_sound =
   QCheck.Test.make
     ~name:"every flipped tuple lies in the frontier (or `Full)" ~count:400
-    QCheck.(pair (int_range 2 6) (int_range 0 10000000))
+    QCheck.(pair (int_range 2 20) (int_range 0 10000000))
     (fun (size, seed) ->
       let rng = Random.State.make [| seed; size; 5 |] in
       let st = random_structure rng ~size in
       let env =
         [ ("a", Random.State.int rng size); ("b", Random.State.int rng size) ]
       in
-      let rule = random_framed_rule rng ~size in
+      let rule = random_framed_rule ~pinned:(Random.State.bool rng) rng ~size in
       let plan = Dynfo_analysis.Support.plan_rule rule in
       if plan.Delta_eval.rp_frame = None then
         QCheck.Test.fail_reportf "frame not found for %s"
           (Formula.to_string rule.body);
       let base = Structure.rel st "R" in
       let full = Eval.define st ~vars:rule.vars ~env rule.body in
-      (match Delta_eval.frontier st ~env ~base plan with
+      let fr = Delta_eval.frontier st ~env ~base plan in
+      count_frontier frontier_sound_share fr;
+      (match fr with
       | `Full -> ()
       | `Tuples tups ->
           Relation.iter
@@ -216,19 +252,23 @@ let frontier_sound =
 let define_once ?fallback st ?env plan =
   Delta_eval.define ~cache:(Delta_eval.new_cache ()) ?fallback st ?env plan
 
+let delta_matches_share = { cases = 0; nonempty = 0 }
+
 let delta_matches_eval_and_bulk =
   QCheck.Test.make
     ~name:"Delta_eval.define == Eval.define == Bulk_eval.define"
     ~count:400
-    QCheck.(pair (int_range 2 6) (int_range 0 10000000))
+    QCheck.(pair (int_range 2 20) (int_range 0 10000000))
     (fun (size, seed) ->
       let rng = Random.State.make [| seed; size; 11 |] in
       let st = random_structure rng ~size in
       let env =
         [ ("a", Random.State.int rng size); ("b", Random.State.int rng size) ]
       in
-      let rule = random_framed_rule rng ~size in
+      let rule = random_framed_rule ~pinned:(Random.State.bool rng) rng ~size in
       let plan = Dynfo_analysis.Support.plan_rule rule in
+      count_frontier delta_matches_share
+        (Delta_eval.frontier st ~env ~base:(Structure.rel st "R") plan);
       let seq = Eval.define st ~vars:rule.vars ~env rule.body in
       let bulk = Bulk_eval.define st ~vars:rule.vars ~env rule.body in
       let fallback = if Random.State.bool rng then `Tuple else `Bulk in
@@ -433,7 +473,10 @@ let test_par_delta_define_matches () =
                 ("b", Random.State.int rng size);
               ]
             in
-            let rule = random_framed_rule rng ~size in
+            (* pinned rules at n >= 13 reach the mask frontiers *)
+            let rule =
+              random_framed_rule ~pinned:(Random.State.bool rng) rng ~size
+            in
             let plan = Dynfo_analysis.Support.plan_rule rule in
             let seq = Eval.define st ~vars:rule.vars ~env rule.body in
             List.iter
@@ -441,15 +484,15 @@ let test_par_delta_define_matches () =
                 (* cutoff 0 forces the chunked path whenever the mask is
                    non-empty and lanes > 1 *)
                 let par =
-                  Par_delta.define pool ~cache:(Delta_eval.new_cache ())
-                    ~cutoff:0 st ~env ~fallback plan
+                  Delta_eval.define ~cache:(Delta_eval.new_cache ()) ~fallback
+                    ~pool ~cutoff:0 st ~env plan
                 in
                 if not (Relation.equal seq par) then
                   Alcotest.failf "par-delta diverges at n=%d on %s" size
                     (Formula.to_string rule.body))
               [ `Tuple; `Bulk ]
           done)
-        [ 3; 5; 7 ])
+        [ 3; 5; 7; 14; 20 ])
 
 let test_registry_par_delta_agreement () =
   Dynfo_analysis.Advisor.install ();
@@ -480,7 +523,7 @@ let test_registry_par_delta_agreement () =
 
 (* Canonical form of a frontier: [None] for `Full, otherwise the sorted
    set of its tuples. [`Mask_words] borrows the persistent buffer, so
-   callers materialise inside [with_state]'s callback. *)
+   callers materialise inside [with_frontier]'s callback. *)
 let frontier_tuples ~size ~arity (fr : Delta_eval.frontier) =
   match fr with
   | `Full -> None
@@ -558,9 +601,8 @@ let stateful_frontier_matches_stateless =
                 (Delta_eval.frontier !st ~env ~base plan)
             in
             let got =
-              Delta_eval.with_state ~cache !st ~env plan
-                (fun ~test:_ ~base:_ fr ->
-                  frontier_tuples ~size ~arity:2 fr)
+              Delta_eval.with_frontier ~cache !st ~env plan
+                (frontier_tuples ~size ~arity:2)
             in
             (match (expect, got) with
             | None, None -> ()
@@ -768,8 +810,8 @@ let () =
         ] );
       ( "delta_eval",
         [
-          QCheck_alcotest.to_alcotest frontier_sound;
-          QCheck_alcotest.to_alcotest delta_matches_eval_and_bulk;
+          with_frontier_share frontier_sound_share frontier_sound;
+          with_frontier_share delta_matches_share delta_matches_eval_and_bulk;
           QCheck_alcotest.to_alcotest delta_cutoff_zero_matches;
           Alcotest.test_case "error parity with Eval" `Quick
             test_delta_error_parity;

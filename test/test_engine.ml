@@ -1,8 +1,9 @@
-(* The parallel engine (lib/engine): the domain pool itself, parallel
-   Eval.define against the sequential one, and the full registry swept
-   through the harness with the parallel runner at 1, 2 and 4 lanes
-   against the sequential runner and the static oracles. Parallel paths
-   are forced with ~cutoff:0 so small test universes exercise them. *)
+(* The parallel engine: the domain pool itself (lib/engine), the three
+   evaluators on a multi-lane pool against the same evaluators inline,
+   and the full registry swept through the harness with the parallel
+   runner at 1, 2 and 4 lanes against the sequential runner and the
+   static oracles. Parallel paths are forced with ~cutoff:0 so small
+   test universes exercise them. *)
 
 open Dynfo_logic
 open Dynfo
@@ -58,11 +59,25 @@ let test_pool_exception_propagates () =
           done);
       check ti "usable after exception" 4950 (Atomic.get total))
 
-(* --- Par_eval.define vs Eval.define ------------------------------------- *)
+(* --- each evaluator on a 4-lane pool vs inline ------------------------- *)
 
+(* The pool runs each evaluator's one kernel per chunk instead of once
+   over the whole range, so on any pool the relation and the work count
+   must equal the inline run's — for the tuple, bulk and delta
+   evaluators alike. The delta rules are framed (target [R] as a conjunct
+   of one disjunct): [x = a] pins both frame sides to a row of [n]
+   tuples, which passes the 32-code small-frontier threshold from n = 17
+   (the persistent mask's [`Mask_words] frontier), and [E(x, y)] leaves
+   the out side unbounded, so the stateless [`Mask] of the members of
+   [R] is re-tested too. *)
 let test_par_define_matches () =
-  let v = Vocab.make ~rels:[ ("E", 2) ] ~consts:[ "s" ] in
+  let v = Vocab.make ~rels:[ ("E", 2); ("R", 2) ] ~consts:[ "s" ] in
   let rng = Random.State.make [| 99 |] in
+  let same what seq par =
+    let (rs, ws), (rp, wp) = (Eval.with_work seq, Eval.with_work par) in
+    check tb (what ^ " same relation") true (Relation.equal rs rp);
+    check ti (what ^ " same work") ws wp
+  in
   Pool.with_pool ~lanes:4 (fun pool ->
       List.iter
         (fun size ->
@@ -70,27 +85,48 @@ let test_par_define_matches () =
           for _ = 1 to 2 * size do
             let a = Random.State.int rng size
             and b = Random.State.int rng size in
-            st := Structure.add_tuple !st "E" [| a; b |]
+            st := Structure.add_tuple !st "E" [| a; b |];
+            st := Structure.add_tuple !st "R" [| b; a |]
           done;
           List.iter
             (fun (vars, src) ->
               let f = Parser.parse src in
-              let seq, wseq =
-                Eval.with_work (fun () -> Eval.define !st ~vars f)
-              in
-              let par, wpar =
-                Eval.with_work (fun () ->
-                    Par_eval.define pool ~cutoff:0 !st ~vars f)
-              in
-              check tb (src ^ " same relation") true (Relation.equal seq par);
-              check ti (src ^ " same FO work") wseq wpar)
+              same ("tuple " ^ src)
+                (fun () -> Eval.define !st ~vars f)
+                (fun () -> Eval.define ~pool ~cutoff:0 !st ~vars f);
+              same ("bulk " ^ src)
+                (fun () -> Bulk_eval.define !st ~vars f)
+                (fun () -> Bulk_eval.define ~pool ~cutoff:0 !st ~vars f))
             [
               ([ "x" ], "ex y (E(x, y))");
               ([ "x"; "y" ], "E(x, y) | E(y, x)");
               ([ "x"; "y" ], "ex z (E(x, z) & E(z, y) & x != y)");
               ([ "x"; "y"; "z" ], "E(x, y) & y <= z & ~E(z, s)");
+            ];
+          let env = [ ("a", Random.State.int rng size) ] in
+          List.iter
+            (fun src ->
+              let body = Parser.parse src in
+              let plan =
+                Dynfo_analysis.Support.plan_rule
+                  { Program.target = "R"; vars = [ "x"; "y" ]; body }
+              in
+              List.iter
+                (fun fallback ->
+                  let define ?pool () =
+                    Delta_eval.define ~cache:(Delta_eval.new_cache ())
+                      ~fallback ?pool ~cutoff:0 !st ~env plan
+                  in
+                  same ("delta " ^ src) define (fun () -> define ~pool ());
+                  check tb ("delta " ^ src ^ " == tuple") true
+                    (Relation.equal (define ())
+                       (Eval.define !st ~vars:[ "x"; "y" ] ~env body)))
+                [ `Tuple; `Bulk ])
+            [
+              "(R(x, y) & x != a) | (x = a & ex z (E(y, z) & E(z, s)))";
+              "(R(x, y) & E(x, y)) | (x = a & y = s)";
             ])
-        [ 3; 7; 11 ])
+        [ 3; 7; 11; 20 ])
 
 (* --- the registry under the parallel runner ------------------------------ *)
 

@@ -256,6 +256,38 @@ let test_page_accounting () =
   check ti "dense: no page table" 0 (Bitrel.page_count d);
   check tb "dense occupancy is 1" true (Bitrel.occupancy d = 1.0)
 
+(* The delta backend re-zeroes its persistent dirty mask with
+   [clear_words]: a paged mask must hand the emptied pages back, or its
+   resident pages only grow under churn. *)
+let test_clear_words_reclaims_pages () =
+  let size = 89 and arity = 2 in
+  let b = Bitrel.create_repr `Paged ~size ~arity in
+  let dirty = ref [] in
+  let record lo hi =
+    for w = lo to hi - 1 do
+      if not (List.mem w !dirty) then dirty := w :: !dirty
+    done
+  in
+  for round = 1 to 20 do
+    (* rows x = v: the first lands on either page, the second (x >= 86)
+       on the last one *)
+    ignore (Bitrel.set_slab ~record b [ (0, round * 7 mod size) ]);
+    ignore (Bitrel.set_slab ~record b [ (0, size - 1 - (round mod 3)) ]);
+    check tb "dirty words are resident" true (Bitrel.pages_resident b >= 1);
+    Bitrel.clear_words b !dirty;
+    dirty := [];
+    check ti
+      (Printf.sprintf "round %d: a cleared mask holds no page" round)
+      0 (Bitrel.pages_resident b);
+    check tb "and no member" true (Bitrel.is_empty b)
+  done;
+  (* a page that keeps a set word stays resident *)
+  Bitrel.add b [| 0; 0 |];
+  Bitrel.add b [| size - 1; size - 1 |];
+  Bitrel.clear_words b [ Bitrel.word_count b - 1 ];
+  check ti "the untouched page stays" 1 (Bitrel.pages_resident b);
+  check tb "with its member" true (Bitrel.mem b [| 0; 0 |])
+
 (* --- snapshots ------------------------------------------------------------ *)
 
 let test_snapshot_paged () =
@@ -301,6 +333,8 @@ let () =
           QCheck_alcotest.to_alcotest paged_binop_equiv;
           QCheck_alcotest.to_alcotest paged_project_equiv;
           Alcotest.test_case "page accounting" `Quick test_page_accounting;
+          Alcotest.test_case "cleared words return their pages" `Quick
+            test_clear_words_reclaims_pages;
         ] );
       ( "lockstep",
         [
