@@ -31,16 +31,14 @@ let us_per_request (d : Dyn.t) ~size reqs =
   Int64.to_float (Int64.sub t1 t0) /. 1e3 /. float (List.length reqs)
 
 let fo_work_per_request program ~size reqs =
-  let (), work =
-    Dynfo_logic.Eval.with_work (fun () ->
-        let state = ref (Runner.init program ~size) in
-        List.iter
-          (fun r ->
-            state := Runner.step !state r;
-            ignore (Runner.query !state))
-          reqs)
-  in
-  work / List.length reqs
+  let work = ref 0 in
+  let state = ref (Runner.init program ~size) in
+  List.iter
+    (fun r ->
+      state := Runner.step ~work !state r;
+      ignore (Runner.query ~work !state))
+    reqs;
+  !work / List.length reqs
 
 let header () =
   Printf.printf "  %6s %12s %12s %12s %14s %10s\n" "n" "fo(us)" "native(us)"
@@ -273,16 +271,14 @@ let () =
     us_per_request d ~size reqs
   in
   let bulk_work_per_request program ~size reqs =
-    let (), work =
-      Dynfo_logic.Eval.with_work (fun () ->
-          let state = ref (Runner.init program ~size) in
-          List.iter
-            (fun r ->
-              state := Runner.step ~backend:`Bulk !state r;
-              ignore (Runner.query ~backend:`Bulk !state))
-            reqs)
-    in
-    work / List.length reqs
+    let work = ref 0 in
+    let state = ref (Runner.init program ~size) in
+    List.iter
+      (fun r ->
+        state := Runner.step ~work ~backend:`Bulk !state r;
+        ignore (Runner.query ~work ~backend:`Bulk !state))
+      reqs;
+    !work / List.length reqs
   in
   let e20_rows = ref [] in
   Gc.compact ();
@@ -364,16 +360,14 @@ let () =
     us_per_request d ~size reqs
   in
   let backend_work backend program ~size reqs =
-    let (), work =
-      Dynfo_logic.Eval.with_work (fun () ->
-          let state = ref (Runner.init program ~size) in
-          List.iter
-            (fun r ->
-              state := Runner.step ~backend !state r;
-              ignore (Runner.query ~backend !state))
-            reqs)
-    in
-    work / List.length reqs
+    let work = ref 0 in
+    let state = ref (Runner.init program ~size) in
+    List.iter
+      (fun r ->
+        state := Runner.step ~work ~backend !state r;
+        ignore (Runner.query ~work ~backend !state))
+      reqs;
+    !work / List.length reqs
   in
   let e21_rows = ref [] in
   Gc.compact ();
@@ -1003,9 +997,15 @@ let () =
      medians over [e27_repeats] timed runs that alternate dense and
      paged (the order flips every repeat), printed with the range of
      the per-run medians: one run per arm spread the gated ratio from
-     0.62 to 1.53 around 1.00 on a 2-vCPU host. --gate turns the
-     headline (paged no slower than dense at the largest n, every cell
-     verified) into a nonzero exit for CI. *)
+     0.62 to 1.53 around 1.00 on a 2-vCPU host. The ratio column is
+     the median (and range) of the per-repeat paged/dense ratios: a
+     repeat's two runs are adjacent in time, so a host speed switch
+     scales both and cancels in their ratio, and one that falls between
+     them moves that repeat's ratio only, which the median absorbs —
+     where the two arms' own medians can land in different speed
+     bands. --gate turns the headline (that ratio median within the
+     tolerance at the largest n, every cell verified) into a nonzero
+     exit for CI. *)
   let e27_repeats = 5 in
   Printf.printf
     "\n== E27: paged bitsets — dense vs paged delta, smoke to n=10^4 ==\n";
@@ -1013,9 +1013,9 @@ let () =
     "  (median of %d alternating runs per arm; range = min-max of the run \
      medians)\n"
     e27_repeats;
-  Printf.printf "  %-12s %6s %10s %10s %10s %10s %7s %9s %17s %17s\n" "program"
-    "n" "dense-us" "paged-us" "d-max-us" "p-max-us" "pages" "verified"
-    "d-range-us" "p-range-us";
+  Printf.printf "  %-12s %6s %10s %10s %10s %10s %7s %9s %17s %17s %17s\n"
+    "program" "n" "dense-us" "paged-us" "d-max-us" "p-max-us" "pages"
+    "verified" "d-range-us" "p-range-us" "p/d-ratio";
   let e27_rows = ref [] in
   let e27_repr (repr : Dynfo_logic.Bitrel.repr) f =
     Dynfo_logic.Bitrel.set_default_repr repr;
@@ -1103,16 +1103,21 @@ let () =
         let d_max = med (sorted snd dense) and p_max = med (sorted snd paged) in
         let range a = (a.(0), a.(Array.length a - 1)) in
         let d_range = range d_runs and p_range = range p_runs in
+        let ratios =
+          sorted Fun.id (Array.map2 (fun (p, _) (d, _) -> p /. d) paged dense)
+        in
+        let ratio = med ratios and r_lo, r_hi = range ratios in
         let pages = !pages in
         let pp_range (lo, hi) = Printf.sprintf "%.2f-%.2f" lo hi in
         Printf.printf
-          "  %-12s %6d %10.2f %10.2f %10.0f %10.0f %7d %9s %17s %17s\n" name
-          size d_us p_us d_max p_max pages
+          "  %-12s %6d %10.2f %10.2f %10.0f %10.0f %7d %9s %17s %17s %17s\n"
+          name size d_us p_us d_max p_max pages
           (if !verified then "ok" else "MISMATCH")
-          (pp_range d_range) (pp_range p_range);
+          (pp_range d_range) (pp_range p_range)
+          (Printf.sprintf "%.2f (%.2f-%.2f)" ratio r_lo r_hi);
         e27_rows :=
           ( name, size, d_us, p_us, d_max, p_max, pages, !verified,
-            (d_range, p_range) )
+            (d_range, p_range, (ratio, r_lo, r_hi)) )
           :: !e27_rows
       end)
     [
@@ -1141,7 +1146,7 @@ let () =
       List.iteri
         (fun i
              ( name, size, d_us, p_us, d_max, p_max, pages, verified,
-               ((d_lo, d_hi), (p_lo, p_hi)) ) ->
+               ((d_lo, d_hi), (p_lo, p_hi), _) ) ->
           Printf.fprintf oc
             "  {\"experiment\": \"E27\", \"program\": %S, \"n\": %d, \
              \"repeats\": %d, \"dense_us\": %.3f, \"paged_us\": %.3f, \
@@ -1159,30 +1164,34 @@ let () =
     (* gate at the largest n overall: that is the regime the page table
        exists for — at smoke sizes the flat array is at worst a close
        race and stays informational. Same 15% tolerance as E25: the
-       inequality to protect is asymptotic, not a photo finish. Both
-       sides are medians over the alternating runs above. *)
+       inequality to protect is asymptotic, not a photo finish. The
+       gated figure is the median of the per-repeat paged/dense
+       ratios. *)
     let tolerance = 1.15 in
     let largest =
       List.fold_left (fun acc (_, sz, _, _, _, _, _, _, _) -> max acc sz) 0
         !e27_rows
     in
-    let failures =
-      List.filter
-        (fun (_, size, d_us, p_us, _, _, _, verified, _) ->
-          size = largest && ((not verified) || p_us > tolerance *. d_us))
+    let at_largest =
+      List.filter (fun (_, size, _, _, _, _, _, _, _) -> size = largest)
         !e27_rows
     in
+    let failed = ref false in
     List.iter
-      (fun (name, size, d_us, p_us, _, _, _, verified, _) ->
+      (fun (name, size, d_us, p_us, _, _, _, verified, (_, _, (r, lo, hi))) ->
+        let fail = (not verified) || r > tolerance in
+        if fail then failed := true;
         Printf.printf
-          "  E27 gate FAIL: %s n=%d paged %.2f us vs dense %.2f us%s\n" name
-          size p_us d_us
+          "  E27 gate %s: %s n=%d paged/dense ratio median %.2f (range \
+           %.2f-%.2f, bound %.2f); paged %.2f us, dense %.2f us%s\n"
+          (if fail then "FAIL" else "cell")
+          name size r lo hi tolerance p_us d_us
           (if verified then "" else " (lockstep mismatch)"))
-      failures;
-    if e27_mismatches > 0 || failures <> [] then exit 1;
+      at_largest;
+    if e27_mismatches > 0 || !failed then exit 1;
     Printf.printf
-      "  E27 gate: paged <= dense at n=%d (median of %d runs per arm), all \
-       cells verified — ok\n"
+      "  E27 gate: paged <= dense at n=%d (median of %d per-repeat ratios), \
+       all cells verified — ok\n"
       largest e27_repeats
   end;
 

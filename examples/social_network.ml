@@ -23,8 +23,9 @@ let () =
   let rng = Random.State.make [| 2024 |] in
   let events = Reach_u.workload rng ~size:n_members ~length:n_events in
 
-  (* three implementations, one request stream *)
-  let fo = (Dyn.of_program Reach_u.program).create n_members () in
+  (* three implementations, one request stream; the FO runner's steps
+     charge their work to [total_work] *)
+  let fo = ref (Runner.init Reach_u.program ~size:n_members) in
   let native = Reach_u.native.create n_members () in
   let baseline = Reach_u.static.create n_members () in
 
@@ -33,12 +34,11 @@ let () =
   let total_work = ref 0 in
   List.iteri
     (fun i req ->
-      Dynfo_logic.Eval.reset_work ();
-      fo.apply req;
-      total_work := !total_work + Dynfo_logic.Eval.work ();
+      fo := Runner.step ~work:total_work !fo req;
       native.apply req;
       baseline.apply req;
-      let a = fo.query () and b = native.query () and c = baseline.query () in
+      let a = Runner.query !fo and b = native.query ()
+      and c = baseline.query () in
       if a <> b || b <> c then incr disagreements;
       if a then incr connected_count;
       if i < 8 || i mod 50 = 0 then

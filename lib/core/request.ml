@@ -218,7 +218,7 @@ let parse_batch line =
    Redundant members are dropped here (inserting a present tuple /
    deleting an absent one), so the expansion is the minimal singleton
    sequence whose fold realises the set change. *)
-let expand st req =
+let expand ?work st req =
   match req with
   | Ins _ | Del _ | Set _ -> [ req ]
   | Ins_set (name, tups) -> List.map (fun t -> Ins (name, t)) tups
@@ -230,7 +230,7 @@ let expand st req =
      which is exactly lexicographic [Tuple.compare] order, so the
      singleton sequence is unchanged. *)
   | Ins_def (name, vars, f) ->
-      let sel = Bulk_eval.bitrel st ~vars f in
+      let sel = Bulk_eval.bitrel ?work st ~vars f in
       let cur = Structure.rel st name in
       let size = Structure.size st and arity = List.length vars in
       let acc = ref [] in
@@ -241,7 +241,7 @@ let expand st req =
         sel;
       List.rev !acc
   | Del_def (name, vars, f) ->
-      let sel = Bulk_eval.bitrel st ~vars f in
+      let sel = Bulk_eval.bitrel ?work st ~vars f in
       let cur = Structure.rel st name in
       let size = Structure.size st and arity = List.length vars in
       let acc = ref [] in
@@ -252,4 +252,4 @@ let expand st req =
         sel;
       List.rev !acc
 
-let expand_batch st reqs = List.concat_map (expand st) reqs
+let expand_batch ?work st reqs = List.concat_map (expand ?work st) reqs

@@ -81,14 +81,16 @@ val parse_batch : string -> t list
     [';'] and the empty string are fine (the latter is the empty batch).
     Raises [Failure] on a malformed member. *)
 
-val expand : Dynfo_logic.Structure.t -> t -> t list
+val expand : ?work:int ref -> Dynfo_logic.Structure.t -> t -> t list
 (** The singleton sequence a request denotes against [st]. Single-tuple
     requests are themselves; [Ins_set]/[Del_set] map to their lists in
-    order; [Ins_def]/[Del_def] evaluate the change formula over [st] and
+    order; [Ins_def]/[Del_def] evaluate the change formula over [st]
+    ({!Dynfo_logic.Bulk_eval.bitrel}, its words charged to [work]) and
     return the selected tuples {e not already at their target value}
     (insert: minus the current relation; delete: inter it), sorted for
     determinism. Requires the request {!valid} for [st]'s vocabulary. *)
 
-val expand_batch : Dynfo_logic.Structure.t -> t list -> t list
-(** [List.concat_map (expand st)] — every member selected against the
-    same pre-state, the "definable changes" simultaneous reading. *)
+val expand_batch :
+  ?work:int ref -> Dynfo_logic.Structure.t -> t list -> t list
+(** [List.concat_map (expand ?work st)] — every member selected against
+    the same pre-state, the "definable changes" simultaneous reading. *)

@@ -108,48 +108,22 @@ let op_key = function
       (`Del, n)
   | Request.Set (n, _) -> (`Set, n)
 
-(* One rule evaluated in full on a concrete backend, on the state's pool. *)
-let full_define s backend st ~vars ~env f =
+(* One rule evaluated in full on a concrete backend, on the state's pool,
+   its work charged to [work]. *)
+let full_define s ~work backend st ~vars ~env f =
   match backend with
-  | `Tuple -> Eval.define ~pool:s.pool ~cutoff:s.cutoff st ~vars ~env f
-  | `Bulk -> Bulk_eval.define ~pool:s.pool ~cutoff:s.cutoff st ~vars ~env f
+  | `Tuple -> Eval.define ~work ~pool:s.pool ~cutoff:s.cutoff st ~vars ~env f
+  | `Bulk ->
+      Bulk_eval.define ~work ~pool:s.pool ~cutoff:s.cutoff st ~vars ~env f
 
 (* The simultaneous rule block on [`Tuple] or [`Bulk]: every body reads
-   only the pre-state (plus earlier temporaries), so the block is
-   parallel both across and within rules. On a multi-lane pool, a
-   [`Tuple] block of several rules whose tuple spaces are all under the
-   cutoff hands whole rules to lanes, each evaluated without the pool
-   (inline: the pool is not reentrant); otherwise rules go in order,
-   parallel inside each one. [`Bulk] never fans rules out: its kernels
-   submit pool jobs themselves. *)
-let full_rules_define s backend st ~env rules =
-  if
-    backend = `Tuple
-    && Pool.lanes s.pool > 1
-    && List.length rules > 1
-    && List.for_all
-         (fun (r : Program.rule) ->
-           Pool.tuple_space ~size:(Structure.size st)
-             ~arity:(List.length r.vars)
-           < s.cutoff)
-         rules
-  then begin
-    let arr = Array.of_list rules in
-    let out = Array.make (Array.length arr) None in
-    Pool.parallel_for s.pool ~chunk:1 ~lo:0 ~hi:(Array.length arr)
-      (fun ~lane:_ l r ->
-        for i = l to r - 1 do
-          let (rule : Program.rule) = arr.(i) in
-          out.(i) <-
-            Some (rule.target, Eval.define st ~vars:rule.vars ~env rule.body)
-        done);
-    Array.to_list out |> List.map Option.get
-  end
-  else
-    List.map
-      (fun (r : Program.rule) ->
-        (r.target, full_define s backend st ~vars:r.vars ~env r.body))
-      rules
+   only the pre-state (plus earlier temporaries), so the rules go in
+   order, each parallel inside on the pool. *)
+let full_rules_define s ~work backend st ~env rules =
+  List.map
+    (fun (r : Program.rule) ->
+      (r.target, full_define s ~work backend st ~vars:r.vars ~env r.body))
+    rules
 
 (* The delta backend: look each rule up in the block's plan and evaluate
    its dirty frontier only ([Delta_eval.define] chunks it over the
@@ -159,7 +133,7 @@ let full_rules_define s backend st ~env rules =
    validated against the actual rule (vars + body) so a stale plan for a
    same-named variant of the program degrades to a full recompute
    instead of misevaluating. *)
-let delta_rules_define ?batch s (plan : Delta_eval.program_plan)
+let delta_rules_define ?batch s ~work (plan : Delta_eval.program_plan)
     block st ~env rules =
   let fallback = plan.Delta_eval.pp_fallback in
   List.map
@@ -170,23 +144,23 @@ let delta_rules_define ?batch s (plan : Delta_eval.program_plan)
         | Some rp
           when rp.Delta_eval.rp_vars = r.vars
                && Formula.equal rp.Delta_eval.rp_body r.body ->
-            Delta_eval.define ~cache:s.cache ~fallback ~pool:s.pool
+            Delta_eval.define ~work ~cache:s.cache ~fallback ~pool:s.pool
               ~cutoff:s.cutoff st ~env ?batch rp
-        | _ -> full_define s fallback st ~vars:r.vars ~env r.body
+        | _ -> full_define s ~work fallback st ~vars:r.vars ~env r.body
       in
       (r.target, rel))
     rules
 
-(* The [rules_define] of one request on a concrete backend. Under
-   [`Delta] the request's kind and input relation pick the block plan,
-   looked up once here rather than per temporary. *)
-let rules_define ?batch s backend req =
+(* The [rules_define] of one request on a concrete backend, charging
+   [work]. Under [`Delta] the request's kind and input relation pick the
+   block plan, looked up once here rather than per temporary. *)
+let rules_define ?batch s ~work backend req =
   match backend with
-  | (`Tuple | `Bulk) as b -> full_rules_define s b
+  | (`Tuple | `Bulk) as b -> full_rules_define s ~work b
   | `Delta ->
       let plan = !delta_planner s.program in
       let kind, name = op_key req in
-      delta_rules_define ?batch s plan
+      delta_rules_define ?batch s ~work plan
         (Delta_eval.block_for plan kind name)
 
 let apply_update_with ~rules_define st (u : Program.update) (args : int list)
@@ -222,7 +196,7 @@ let apply_update_with ~rules_define st (u : Program.update) (args : int list)
   List.fold_left (fun acc (name, rel) -> Structure.with_rel acc name rel) st
     new_rels
 
-let rec step_with_unchecked ~rules_define s req =
+let rec step_with_unchecked ~work ~rules_define s req =
   let apply_update = apply_update_with ~rules_define in
   let p = s.program in
   let structure =
@@ -232,9 +206,9 @@ let rec step_with_unchecked ~rules_define s req =
         (* a set request outside a batch tick: expand against the current
            structure and fold the singleton sequence it denotes *)
         (List.fold_left
-           (step_with_unchecked ~rules_define)
+           (step_with_unchecked ~work ~rules_define)
            s
-           (Request.expand s.structure req))
+           (Request.expand ~work s.structure req))
           .structure
     | Request.Ins (name, tup) ->
         let st =
@@ -277,12 +251,14 @@ let validate_request ~who s req =
       (Printf.sprintf "%s: invalid request %s for program %s" who
          (Request.to_string req) p.name)
 
-let step ?(backend = `Tuple) s req =
+let step ?(work = ref 0) ?(backend = `Tuple) s req =
   validate_request ~who:"Runner.step" s req;
   let resolved = resolve_backend s.program backend in
-  step_with_unchecked ~rules_define:(rules_define s resolved req) s req
+  step_with_unchecked ~work
+    ~rules_define:(rules_define s ~work resolved req)
+    s req
 
-let run ?backend s reqs = List.fold_left (step ?backend) s reqs
+let run ?work ?backend s reqs = List.fold_left (step ?work ?backend) s reqs
 
 (* --- commute-aware batch planning ------------------------------------------ *)
 
@@ -381,7 +357,8 @@ let absorb_group s group =
    fold. Set requests ([Request.Ins_set] etc.) are expanded against the
    tick's pre-state first — the "definable changes" simultaneous
    reading — and their singletons planned like any others. *)
-let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
+let step_batch_info ?(work = ref 0) ?(backend = `Tuple) ?oracle ?defchange s
+    reqs =
   List.iter (validate_request ~who:"Runner.step_batch" s) reqs;
   let backend = resolve_backend s.program backend in
   let oracle =
@@ -392,7 +369,7 @@ let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
     | Some f -> f
     | None -> !defchange_oracle_ref s.program
   in
-  let reqs = Request.expand_batch s.structure reqs in
+  let reqs = Request.expand_batch ~work s.structure reqs in
   let groups = plan_groups_with oracle.co_swap reqs in
   (* one batch scope per tick: every [`Stream] group joins it, so rule
      states shared across groups keep accumulating instead of clearing *)
@@ -407,7 +384,9 @@ let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
         let batch =
           if v = `Stream && backend = `Delta then Some tick else None
         in
-        let rules_define = rules_define ?batch s backend (List.hd group) in
+        let rules_define =
+          rules_define ?batch s ~work backend (List.hd group)
+        in
         let info =
           if batch = None then info
           else
@@ -417,7 +396,7 @@ let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
           (fun (s, info) req ->
             if oracle.co_elidable req && redundant s.structure req then
               (s, { info with bi_elided = info.bi_elided + 1 })
-            else (step_with_unchecked ~rules_define s req, info))
+            else (step_with_unchecked ~work ~rules_define s req, info))
           (s, info) group
   in
   let s, info =
@@ -427,8 +406,8 @@ let step_batch_info ?(backend = `Tuple) ?oracle ?defchange s reqs =
   in
   (s, { info with bi_groups = List.length groups })
 
-let step_batch ?backend ?oracle ?defchange s reqs =
-  fst (step_batch_info ?backend ?oracle ?defchange s reqs)
+let step_batch ?work ?backend ?oracle ?defchange s reqs =
+  fst (step_batch_info ?work ?backend ?oracle ?defchange s reqs)
 
 let restore ?pool ?cutoff (p : Program.t) st =
   (* the snapshot must expose the whole combined vocabulary, exactly as
@@ -442,35 +421,32 @@ let concrete_query_backend p = function
   | (`Tuple | `Bulk) as b -> b
   | `Delta -> (!delta_planner p).Delta_eval.pp_fallback
 
-let holds ?(backend = `Tuple) s ?env f =
+let holds ?work ?(backend = `Tuple) s ?env f =
   match concrete_query_backend s.program (resolve_backend s.program backend) with
-  | `Tuple -> Eval.holds s.structure ?env f
-  | `Bulk -> Bulk_eval.holds ~pool:s.pool s.structure ?env f
+  | `Tuple -> Eval.holds ?work s.structure ?env f
+  | `Bulk -> Bulk_eval.holds ?work ~pool:s.pool s.structure ?env f
 
-let query ?backend s = holds ?backend s s.program.query
+let query ?work ?backend s = holds ?work ?backend s s.program.query
 
-let query_named ?backend s name args =
+let query_named ?work ?backend s name args =
   match List.find_opt (fun (n, _, _) -> n = name) s.program.queries with
   | None -> raise Not_found
   | Some (_, vars, body) ->
       if List.length vars <> List.length args then
         invalid_arg "Runner.query_named: arity mismatch";
-      holds ?backend s ~env:(List.combine vars args) body
+      holds ?work ?backend s ~env:(List.combine vars args) body
 
-let step_work ?backend s req = Eval.with_work (fun () -> step ?backend s req)
+(* One fresh counter per call: a step's work is a function of its
+   pre-state and requests only, whatever else the process evaluates. *)
+let step_work ?backend s req =
+  let work = ref 0 in
+  let s = step ~work ?backend s req in
+  (s, !work)
 
 let step_batch_full ?backend ?oracle ?defchange s reqs =
-  let (s, info), w =
-    Eval.with_work (fun () -> step_batch_info ?backend ?oracle ?defchange s reqs)
-  in
-  (s, w, info)
+  let work = ref 0 in
+  let s, info = step_batch_info ~work ?backend ?oracle ?defchange s reqs in
+  (s, !work, info)
 
 let run_work ?backend s reqs =
-  let s, rev =
-    List.fold_left
-      (fun (s, acc) req ->
-        let s, w = step_work ?backend s req in
-        (s, w :: acc))
-      (s, []) reqs
-  in
-  (s, List.rev rev)
+  List.fold_left_map (fun s req -> step_work ?backend s req) s reqs

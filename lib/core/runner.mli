@@ -11,7 +11,8 @@
     Every state evaluates on a {!Dynfo_engine.Pool} of domains — the
     CRAM[1] reading of FO. The rules of an update block all read the
     pre-update structure, so they are parallel across rules and within
-    each rule. Each backend has one evaluator, handed the state's pool
+    each rule; the runner evaluates them in order, each parallel inside.
+    Each backend has one evaluator, handed the state's pool
     and cutoff: {!Dynfo_logic.Eval.define} partitions a rule's tuple
     space, {!Dynfo_logic.Bulk_eval.define} chunks the bitset kernels by
     word ranges, {!Dynfo_logic.Delta_eval.define} chunks the dirty
@@ -20,6 +21,12 @@
     each evaluator's kernel runs once over its whole range — the
     sequential loop. Answers and work counts are the same on any pool:
     the harness cross-checks them on every registry program.
+
+    {b Work.} {!step}, {!run}, {!step_batch} and {!query} add the work
+    of their evaluations to an optional [?work] counter the caller owns,
+    and nowhere else (pool lanes count into their own, merged after each
+    job), so a step's work depends only on its pre-state and requests.
+    [?work] is an output: passing it or not changes no result.
 
     A state also carries the delta backend's frontier cache
     ({!Dynfo_logic.Delta_eval.cache}: compiled testers, anchor caches,
@@ -48,7 +55,7 @@ type backend = [ `Tuple | `Bulk | `Delta | `Auto ]
 
     All backends compute identical relations; they differ in cost model
     (atomic evaluations vs. machine words — see
-    {!Dynfo_logic.Eval.add_work}) and constant factors. Every registry
+    {!Dynfo_logic.Bulk_eval}) and constant factors. Every registry
     program runs unchanged on any of them. *)
 
 val set_auto_chooser : (Program.t -> [ `Tuple | `Bulk | `Delta ]) -> unit
@@ -175,18 +182,20 @@ val input : state -> Structure.t
 
 val program : state -> Program.t
 
-val step : ?backend:backend -> state -> Request.t -> state
+val step : ?work:int ref -> ?backend:backend -> state -> Request.t -> state
 (** Apply one request. Raises [Invalid_argument] for requests that are not
     valid for the input vocabulary/universe. Requests that do not change
     the input (inserting a present tuple, deleting an absent one) are still
     processed through the update formulas — the paper's programs are
     written to be no-ops in that case, and tests check they are.
     [backend] selects the evaluator for temporaries and rules (default
-    [`Tuple]). *)
+    [`Tuple]); the step's work is added to [work]. *)
 
-val run : ?backend:backend -> state -> Request.t list -> state
+val run :
+  ?work:int ref -> ?backend:backend -> state -> Request.t list -> state
 
 val step_batch :
+  ?work:int ref ->
   ?backend:backend ->
   ?oracle:commute_oracle ->
   ?defchange:([ `Ins | `Del | `Set ] -> string -> defchange_verdict) ->
@@ -216,7 +225,9 @@ val step_batch :
     preserve the [run] equivalence by the oracles' verified laws.
     [defchange] overrides the installed oracle for this batch (the
     analyzer's model checker forces each verdict through here so the
-    checked law exercises the exploited code path). *)
+    checked law exercises the exploited code path). The tick's work,
+    set-request expansion included, is added to [work]; work the oracles
+    do to answer (a cold model check) is not. *)
 
 type batch_info = {
   bi_groups : int;  (** groups the batch planner produced *)
@@ -235,9 +246,11 @@ val step_batch_full :
   Request.t list ->
   state * int * batch_info
 (** {!step_batch} plus the tick's work charge and planning counters —
-    what the serving layer records per tick. [oracle] overrides the
-    installed oracle for this batch (the serving layer's FIFO mode
-    passes {!null_oracle} to keep a measurable baseline). *)
+    what the serving layer records per tick. The work is metered on a
+    fresh counter per call, so it is the tick's own whatever runs
+    concurrently. [oracle] overrides the installed oracle for this batch
+    (the serving layer's FIFO mode passes {!null_oracle} to keep a
+    measurable baseline). *)
 
 val restore :
   ?pool:Dynfo_engine.Pool.t -> ?cutoff:int -> Program.t -> Structure.t -> state
@@ -248,21 +261,22 @@ val restore :
     whole input+aux vocabulary — the same check {!init} applies to
     [f_n(empty)]. *)
 
-val query : ?backend:backend -> state -> bool
-(** Evaluate the program's boolean query sentence. *)
+val query : ?work:int ref -> ?backend:backend -> state -> bool
+(** Evaluate the program's boolean query sentence, its work added to
+    [work]. *)
 
-val query_named : ?backend:backend -> state -> string -> int list -> bool
+val query_named :
+  ?work:int ref -> ?backend:backend -> state -> string -> int list -> bool
 (** Evaluate a named parameterised query. Raises [Not_found] for unknown
     query names, [Invalid_argument] on arity mismatch. *)
 
 val step_work : ?backend:backend -> state -> Request.t -> state * int
-(** Like {!step} but also returns the work the update performed — atomic
-    FO evaluations under [`Tuple], machine words under [`Bulk], a mix of
-    both under [`Delta] (see {!Dynfo_logic.Eval.work}). *)
+(** Like {!step} but also returns the work the update performed, metered
+    on a fresh counter — atomic FO evaluations under [`Tuple], machine
+    words under [`Bulk], a mix of both under [`Delta] (see
+    {!Dynfo_logic.Eval}). *)
 
 val run_work :
   ?backend:backend -> state -> Request.t list -> state * int list
-(** {!run} with the work of {e each} step, in request order — what
-    [check --all] reports per step. ({!step_work} measures a single
-    step; folding it here keeps the counters scoped per step instead of
-    only surfacing the last one.) *)
+(** {!run} with the work of {e each} step, in request order, each on a
+    fresh counter — what [check --all] reports per step. *)

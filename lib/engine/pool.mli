@@ -12,8 +12,8 @@
     threw. The pool is {e not} reentrant — submitting a job from inside a
     job deadlocks — and a pool must only be driven by one caller at a
     time. Both restrictions are fine for the engine: one request is
-    evaluated at a time, and nested parallelism (rules x tuples) is
-    flattened before submission.
+    evaluated at a time, and its rules one after another, each fanned
+    out on its own.
 
     The evaluators ([Dynfo_logic.Eval.define],
     [Dynfo_logic.Bulk_eval.define]/[holds],

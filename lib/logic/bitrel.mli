@@ -119,6 +119,10 @@ val length : t -> int
 val word_count : t -> int
 (** Number of words; the index space of the chunk-addressable kernels. *)
 
+val get_word : t -> int -> int
+(** The word at an index in [\[0, word_count t)] (unchecked); [0] on an
+    absent page. *)
+
 (** {1 Single-tuple access} *)
 
 val mem : t -> Tuple.t -> bool

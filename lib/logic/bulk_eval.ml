@@ -41,7 +41,10 @@ type ctx = {
   n : int;
   env : (string * int) list;
   pool : Pool.t;
+  work : int ref;  (* the caller's counter: every kernel charges it here *)
 }
+
+let charge ctx k = ctx.work := !(ctx.work) + k
 
 (* a term is a scope coordinate or a known constant *)
 type arg = Coord of int | Const of int
@@ -77,7 +80,7 @@ let lift ctx ~m ~first sub =
   if first = 0 then sub
   else begin
     let dst = Bitrel.create ~size:ctx.n ~arity:m in
-    Eval.add_work (Bitrel.lift_pattern ~dst ~pattern:sub);
+    charge ctx (Bitrel.lift_pattern ~dst ~pattern:sub);
     dst
   end
 
@@ -131,7 +134,7 @@ let atom_rel ctx m lookup name ts =
       List.iter (fun i -> bound.(i) <- -1) !touched;
       touched := [])
     r;
-  Eval.add_work !work;
+  charge ctx !work;
   lift ctx ~m ~first sub
 
 let atom_cmp ctx m lookup kind x y =
@@ -148,7 +151,7 @@ let atom_cmp ctx m lookup kind x y =
     for v = 0 to ctx.n - 1 do
       if test v then work := !work + Bitrel.set_slab sub [ (0, v) ]
     done;
-    Eval.add_work !work;
+    charge ctx !work;
     lift ctx ~m ~first:i sub
   in
   match (term ctx lookup x, term ctx lookup y) with
@@ -168,7 +171,7 @@ let atom_cmp ctx m lookup kind x y =
             work :=
               !work + Bitrel.set_slab sub [ (i - first, v); (j - first, v) ]
           done;
-          Eval.add_work !work;
+          charge ctx !work;
           lift ctx ~m ~first sub
       | (`Le | `Lt | `Bit) as k ->
           let tbl =
@@ -186,7 +189,7 @@ let atom_cmp ctx m lookup kind x y =
                   !work
                   + Bitrel.set_slab sub [ (i - first, a); (j - first, b) ])
               tbl;
-            Eval.add_work !work;
+            charge ctx !work;
             lift ctx ~m ~first sub
           end)
 
@@ -196,7 +199,7 @@ let rec eval ctx m lookup (f : Formula.t) : Bitrel.t =
   match f with
   | True ->
       let dst = Bitrel.full ~size:ctx.n ~arity:m in
-      Eval.add_work (Bitrel.word_count dst);
+      charge ctx (Bitrel.word_count dst);
       dst
   | False -> Bitrel.create ~size:ctx.n ~arity:m
   | Rel (name, ts) -> atom_rel ctx m lookup name ts
@@ -209,8 +212,8 @@ let rec eval ctx m lookup (f : Formula.t) : Bitrel.t =
       let dst = Bitrel.create ~size:ctx.n ~arity:m in
       Bitrel.parallel_words ctx.pool ~lo:0 ~hi:(Bitrel.word_count dst)
         (fun ~lane:_ l r ->
-          Bitrel.complement_into ~dst bg ~word_lo:l ~word_hi:r;
-          Eval.add_work (r - l));
+          Bitrel.complement_into ~dst bg ~word_lo:l ~word_hi:r);
+      charge ctx (Bitrel.word_count dst);
       dst
   | And (g, h) -> binop ctx m lookup `Inter g h
   | Or (g, h) -> binop ctx m lookup `Union g h
@@ -224,9 +227,8 @@ and binop ctx m lookup op g h =
   let b = eval ctx m lookup h in
   let dst = Bitrel.create ~size:ctx.n ~arity:m in
   Bitrel.parallel_words ctx.pool ~lo:0 ~hi:(Bitrel.word_count dst)
-    (fun ~lane:_ l r ->
-      Bitrel.blit_op op ~dst a b ~word_lo:l ~word_hi:r;
-      Eval.add_work (r - l));
+    (fun ~lane:_ l r -> Bitrel.blit_op op ~dst a b ~word_lo:l ~word_hi:r);
+  charge ctx (Bitrel.word_count dst);
   dst
 
 and quant ctx m lookup op vs g =
@@ -245,27 +247,28 @@ and quant ctx m lookup op vs g =
       let block = Bitrel.length body / Bitrel.length dst in
       Bitrel.parallel_words ctx.pool ~lo:0 ~hi:(Bitrel.word_count dst)
         (fun ~lane:_ l r ->
-          Bitrel.project op ~block ~src:body ~dst ~word_lo:l ~word_hi:r;
-          (* per output word: bits_per_word output bits, block source
-             bits each — block words scanned, no-early-exit model *)
-          Eval.add_work ((r - l) * block));
+          Bitrel.project op ~block ~src:body ~dst ~word_lo:l ~word_hi:r);
+      (* per output word: bits_per_word output bits, block source bits
+         each — block words scanned, no-early-exit model *)
+      charge ctx (Bitrel.word_count dst * block);
       dst
 
 (* --- public API ---------------------------------------------------------- *)
 
-let bitrel ?(pool = Pool.inline) st ~vars ?(env = []) f =
-  let ctx = { st; n = Structure.size st; env; pool } in
+let bitrel ?(work = ref 0) ?(pool = Pool.inline) st ~vars ?(env = []) f =
+  let ctx = { st; n = Structure.size st; env; pool; work } in
   let lookup = List.mapi (fun i x -> (x, i)) vars in
   eval ctx (List.length vars) lookup f
 
-let define ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) st ~vars ?env
-    f =
+let define ?work ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) st
+    ~vars ?env f =
   let pool =
     if Pool.tuple_space ~size:(Structure.size st) ~arity:(List.length vars)
        < cutoff
     then Pool.inline
     else pool
   in
-  Bitrel.to_relation (bitrel ~pool st ~vars ?env f)
+  Bitrel.to_relation (bitrel ?work ~pool st ~vars ?env f)
 
-let holds ?pool st ?env f = Bitrel.mem (bitrel ?pool st ~vars:[] ?env f) [||]
+let holds ?work ?pool st ?env f =
+  Bitrel.mem (bitrel ?work ?pool st ~vars:[] ?env f) [||]

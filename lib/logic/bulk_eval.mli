@@ -24,11 +24,11 @@
     instead of a sequential walk of the same circuit's inputs.
 
     {b Work accounting}: every kernel charges the machine words it
-    processes to the same per-domain counter as {!Eval} (via
-    {!Eval.add_work}), so {!Eval.work}/{!Eval.with_work} measure both
-    backends — in different units (words here, atomic evaluations
-    there). Reductions are charged as if no early exit fired, making the
-    count deterministic.
+    processes to the caller's [?work] counter, as {!Eval} charges its
+    atomic evaluations — the same counter, in different units (words
+    here, atomic evaluations there). A word kernel is charged once, for
+    its whole destination, after its pool job. Reductions are charged as
+    if no early exit fired, making the count deterministic.
 
     Identifier resolution, exceptions and edge-case semantics
     (out-of-range numeric literals, [BIT] beyond [Sys.int_size],
@@ -42,6 +42,7 @@
     [Invalid_argument] if that overflows [max_int]. *)
 
 val define :
+  ?work:int ref ->
   ?pool:Dynfo_engine.Pool.t ->
   ?cutoff:int ->
   Structure.t ->
@@ -57,11 +58,12 @@ val define :
     circuit split into disjoint word ranges, [bits_per_word] tuples per
     word by the bitset and [lanes] words at a time by the pool. Atom
     materialisation stays on the calling domain (it is member-sparse and
-    write-racy to split). Results and work counts do not depend on the
-    pool. Target spaces smaller than [cutoff] (default
+    write-racy to split). Results and the words charged to [work] do not
+    depend on the pool. Target spaces smaller than [cutoff] (default
     {!Dynfo_engine.Pool.default_cutoff}) run inline. *)
 
 val bitrel :
+  ?work:int ref ->
   ?pool:Dynfo_engine.Pool.t ->
   Structure.t ->
   vars:string list ->
@@ -72,6 +74,7 @@ val bitrel :
     fans out on any multi-lane [pool] (no cutoff). *)
 
 val holds :
+  ?work:int ref ->
   ?pool:Dynfo_engine.Pool.t ->
   Structure.t ->
   ?env:(string * int) list ->

@@ -159,11 +159,13 @@ let resolve_pins st env ~size pins =
       | Some acc -> add_pin ~size acc coord (term_value st env value))
     (Some []) pins
 
+let charge work k = work := !work + k
+
 (* Emit the concrete coordinate assignments of one slab, spending frontier
    budget as it goes ([Over_budget] aborts the whole mask). Guards are
    evaluated first: a false guard makes the slab empty for this step. *)
-let resolve_slab st env ~size ~arity ~spend emit slab =
-  if List.for_all (fun g -> Eval.holds st ~env g) slab.s_guards then
+let resolve_slab ~work st env ~size ~arity ~spend emit slab =
+  if List.for_all (fun g -> Eval.holds ~work st ~env g) slab.s_guards then
     match resolve_pins st env ~size slab.s_pins with
     | None -> ()
     | Some pins -> (
@@ -184,7 +186,7 @@ let resolve_slab st env ~size ~arity ~spend emit slab =
             let checks =
               List.map (fun (j, t) -> (j, term_value st env t)) a.a_checks
             in
-            Eval.add_work (Relation.cardinal r);
+            charge work (Relation.cardinal r);
             Relation.iter
               (fun q ->
                 if List.for_all (fun (j, v) -> q.(j) = v) checks then
@@ -226,8 +228,8 @@ let fully_pinned ~arity = function
 
 (* The one tuple a fully pinned slab can dirty this step, if its guards
    hold and its pins resolve consistently inside the universe. *)
-let slab_tuple st env ~size slab =
-  if List.for_all (fun g -> Eval.holds st ~env g) slab.s_guards then
+let slab_tuple ~work st env ~size slab =
+  if List.for_all (fun g -> Eval.holds ~work st ~env g) slab.s_guards then
     match resolve_pins st env ~size slab.s_pins with
     | None -> None
     | Some pins ->
@@ -252,7 +254,7 @@ let small_frontier_hits () = Atomic.get small_frontier_hits_c
    tuples with no mask at all ([`Tuples]).
    [base] is the target's pre-state value. A [Top] side is bounded by the
    relation itself: frontier-out ⊆ members, frontier-in ⊆ complement. *)
-let frontier st ~env ~base (plan : rule_plan) : frontier =
+let frontier ?(work = ref 0) st ~env ~base (plan : rule_plan) : frontier =
   match plan.rp_frame with
   | None -> `Full
   | Some { f_out; f_in } -> (
@@ -269,7 +271,7 @@ let frontier st ~env ~base (plan : rule_plan) : frontier =
             let tups =
               List.fold_left
                 (fun acc slab ->
-                  match slab_tuple st env ~size slab with
+                  match slab_tuple ~work st env ~size slab with
                   | Some t
                     when not
                            (List.exists (fun u -> Tuple.compare u t = 0) acc)
@@ -300,9 +302,7 @@ let frontier st ~env ~base (plan : rule_plan) : frontier =
             in
             Atomic.incr mask_builds_c;
             let mask = Bitrel.create ~size ~arity in
-            let install pins =
-              Eval.add_work (Bitrel.set_slab mask pins)
-            in
+            let install pins = charge work (Bitrel.set_slab mask pins) in
             (* the in-side first: its [Top] case fills the complement of
                [base] by clearing member bits, which must not erase
                out-side installs *)
@@ -310,20 +310,20 @@ let frontier st ~env ~base (plan : rule_plan) : frontier =
              | Top ->
                  Bitrel.fill_range mask ~lo:0 ~hi:space;
                  Relation.iter (fun q -> Bitrel.remove mask q) base;
-                 Eval.add_work (Bitrel.word_count mask + card)
+                 charge work (Bitrel.word_count mask + card)
              | Slabs slabs ->
                  List.iter
-                   (resolve_slab st env ~size ~arity ~spend install)
+                   (resolve_slab ~work st env ~size ~arity ~spend install)
                    slabs);
             (match f_out with
              | Top ->
                  Relation.iter (fun q -> Bitrel.add mask q) base;
-                 Eval.add_work card
+                 charge work card
              | Slabs slabs ->
                  List.iter
-                   (resolve_slab st env ~size ~arity ~spend install)
+                   (resolve_slab ~work st env ~size ~arity ~spend install)
                    slabs);
-            Eval.add_work (Bitrel.word_count mask);
+            charge work (Bitrel.word_count mask);
             if Bitrel.popcount mask >= budget then `Full else `Mask mask
           with Over_budget -> `Full))
 
@@ -366,13 +366,6 @@ type batch = unit ref
 
 let new_batch () : batch = ref ()
 
-(* Per-word epoch of the last marking. Dense masks use a flat array —
-   O(1) probes, O(space words) memory, fine below the paged threshold.
-   A paged mask at n = 10^4 arity 2 would drag a 12.7 MB stamp array
-   behind an otherwise sparse page table, so paged masks keep their
-   epochs in a hash table sized by the words actually dirtied. *)
-type stamp = S_arr of int array | S_tbl of (int, int) Hashtbl.t
-
 type state = {
   s_plan : rule_plan;
   s_size : int;
@@ -382,9 +375,7 @@ type state = {
   s_slabs_only : bool;  (* both sides are [Slabs]: stateful path applies *)
   s_legacy_fast : bool;  (* both sides fully pinned and anchorless *)
   mutable s_mask : Bitrel.t option;  (* zero outside [s_dirty] *)
-  mutable s_stamp : stamp;
-  mutable s_dirty : int list;
-  mutable s_epoch : int;
+  mutable s_dirty : int list;  (* exactly the mask's non-zero words *)
   mutable s_batch : batch option;  (* scope of the words in [s_dirty] *)
 }
 
@@ -451,9 +442,7 @@ let find_state cache st ~env (plan : rule_plan) =
           s_slabs_only = (f_in <> Top && f_out <> Top);
           s_legacy_fast = fully_pinned ~arity f_out && fully_pinned ~arity f_in;
           s_mask = None;
-          s_stamp = S_arr [||];
           s_dirty = [];
-          s_epoch = 0;
           s_batch = None;
         }
       in
@@ -465,7 +454,7 @@ let find_state cache st ~env (plan : rule_plan) =
 (* Evaluate one guard through its cached compiled tester (guards are
    closed, so the tester has no tuple variables): rebind per step,
    recompile on env-name mismatch — same error surface as Eval.holds. *)
-let guards_hold st ~env (ss : slab_state) =
+let guards_hold ~work st ~env (ss : slab_state) =
   let rec go i = function
     | [] -> true
     | g :: rest ->
@@ -473,13 +462,13 @@ let guards_hold st ~env (ss : slab_state) =
           let recompile () =
             let c = Eval.compile_tester st ~vars:[] ~env g in
             ss.ss_guards.(i) <- Some c;
-            Eval.test_compiled c [||]
+            Eval.test_compiled ~work c [||]
           in
           match ss.ss_guards.(i) with
           | None -> recompile ()
           | Some c -> (
               match Eval.rebind c st ~env with
-              | () -> Eval.test_compiled c [||]
+              | () -> Eval.test_compiled ~work c [||]
               | exception Invalid_argument _ -> recompile ())
         in
         holds && go (i + 1) rest
@@ -546,8 +535,9 @@ let sync_anchor st env ~size (ss : slab_state) (a : anchor) ~pins =
 (* Stateful counterpart of [resolve_slab]: same emissions, same budget
    spending (so the budget decisions match the stateless reference
    exactly), through the cached guard testers and anchor table. *)
-let resolve_slab_state st env ~size ~arity ~spend emit (ss : slab_state) =
-  if guards_hold st ~env ss then
+let resolve_slab_state ~work st env ~size ~arity ~spend emit
+    (ss : slab_state) =
+  if guards_hold ~work st ~env ss then
     match resolve_pins st env ~size ss.ss_slab.s_pins with
     | None -> ()
     | Some pins -> (
@@ -557,7 +547,7 @@ let resolve_slab_state st env ~size ~arity ~spend emit (ss : slab_state) =
             emit pins
         | Some a ->
             let c = sync_anchor st env ~size ss a ~pins in
-            Eval.add_work (Hashtbl.length c.ac_members);
+            charge work (Hashtbl.length c.ac_members);
             Hashtbl.iter
               (fun _ mp ->
                 match mp with
@@ -569,8 +559,8 @@ let resolve_slab_state st env ~size ~arity ~spend emit (ss : slab_state) =
 
 (* The one tuple a fully pinned slab can dirty this step, through the
    cached guard testers — the stateful [slab_tuple]. *)
-let slab_tuple_state st env ~size (ss : slab_state) =
-  if guards_hold st ~env ss then
+let slab_tuple_state ~work st env ~size (ss : slab_state) =
+  if guards_hold ~work st ~env ss then
     match resolve_pins st env ~size ss.ss_slab.s_pins with
     | None -> None
     | Some pins ->
@@ -594,7 +584,7 @@ let emit_cylinder ~size ~arity pins f =
 (* The stateful frontier: identical emissions and budget decisions to
    the stateless [frontier] (the qcheck equivalence law holds them to
    each other), with the fixed costs amortised across steps. *)
-let frontier_state (s : state) ?batch st ~env ~base : frontier =
+let frontier_state ~work (s : state) ?batch st ~env ~base : frontier =
   match s.s_plan.rp_frame with
   | None -> `Full
   | Some _ -> (
@@ -608,7 +598,7 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
             let tups =
               Array.fold_left
                 (fun acc ss ->
-                  match slab_tuple_state st env ~size ss with
+                  match slab_tuple_state ~work st env ~size ss with
                   | Some t
                     when not (List.exists (fun u -> Tuple.compare u t = 0) acc)
                     ->
@@ -629,7 +619,7 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
                complement: the whole space is touched, so there is
                nothing for persistent buffers to amortise — build fresh
                exactly like the stateless reference *)
-            frontier st ~env ~base s.s_plan
+            frontier ~work st ~env ~base s.s_plan
           else begin
             try
               let spent = ref 0 in
@@ -639,8 +629,11 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
               in
               let emits = ref [] in
               let emit pins = emits := pins :: !emits in
-              Array.iter (resolve_slab_state st env ~size ~arity ~spend emit) s.s_in;
-              Array.iter (resolve_slab_state st env ~size ~arity ~spend emit) s.s_out;
+              let resolve =
+                resolve_slab_state ~work st env ~size ~arity ~spend emit
+              in
+              Array.iter resolve s.s_in;
+              Array.iter resolve s.s_out;
               if !spent <= small_limit then begin
                 (* mask-free small-frontier path: enumerate the codes
                    directly. [!spent] is the raw (pre-dedupe) frontier,
@@ -652,7 +645,7 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
                         codes := c :: !codes))
                   !emits;
                 let codes = List.sort_uniq compare !codes in
-                Eval.add_work (List.length codes);
+                charge work (List.length codes);
                 (* deduped size vs budget: the same decision the mask
                    path's popcount makes *)
                 if List.length codes >= budget then `Full
@@ -671,10 +664,6 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
                       Atomic.incr mask_builds_c;
                       let m = Bitrel.create ~size ~arity in
                       s.s_mask <- Some m;
-                      s.s_stamp <-
-                        (match Bitrel.repr_of m with
-                        | `Dense -> S_arr (Array.make (Bitrel.word_count m) (-1))
-                        | `Paged -> S_tbl (Hashtbl.create 256));
                       m
                 in
                 (* Same batch scope as the previous call on this state?
@@ -697,34 +686,21 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
                   let cleared = List.length s.s_dirty in
                   Bitrel.clear_words mask s.s_dirty;
                   ignore (Atomic.fetch_and_add words_cleared_c cleared);
-                  s.s_dirty <- [];
-                  s.s_epoch <- s.s_epoch + 1
+                  s.s_dirty <- []
                 end;
-                let epoch = s.s_epoch in
-                let seen, mark =
-                  match s.s_stamp with
-                  | S_arr a ->
-                      ((fun w -> a.(w) = epoch), fun w -> a.(w) <- epoch)
-                  | S_tbl h ->
-                      ( (fun w ->
-                          match Hashtbl.find_opt h w with
-                          | Some e -> e = epoch
-                          | None -> false),
-                        fun w -> Hashtbl.replace h w epoch )
-                in
+                (* [set_slab] records a word range before filling it, and
+                   every recorded word gets a bit: a word is already in
+                   [s_dirty] exactly when it is non-zero *)
                 let record wlo whi =
                   for w = wlo to whi - 1 do
-                    if not (seen w) then begin
-                      mark w;
+                    if Bitrel.get_word mask w = 0 then
                       s.s_dirty <- w :: s.s_dirty
-                    end
                   done
                 in
                 List.iter
-                  (fun pins ->
-                    Eval.add_work (Bitrel.set_slab ~record mask pins))
+                  (fun pins -> charge work (Bitrel.set_slab ~record mask pins))
                   !emits;
-                Eval.add_work (List.length s.s_dirty);
+                charge work (List.length s.s_dirty);
                 if Bitrel.popcount_words mask s.s_dirty >= budget then `Full
                 else `Mask_words (mask, s.s_dirty)
               end
@@ -741,28 +717,30 @@ let frontier_state (s : state) ?batch st ~env ~base : frontier =
    delta path surfaces the same compile-time errors (unknown relations,
    arity mismatches, unbound variables) as a full evaluation, even when
    the frontier turns out to be empty. *)
-let with_state ~cache st ~env ?batch (plan : rule_plan) f =
+let with_state ~cache ~work st ~env ?batch (plan : rule_plan) f =
   Mutex.protect cache.c_lock (fun () ->
       let s = find_state cache st ~env plan in
       let base = Structure.rel st plan.rp_target in
-      f s ~base (frontier_state s ?batch st ~env ~base))
+      f s ~base (frontier_state ~work s ?batch st ~env ~base))
 
 let with_frontier ~cache st ?(env = []) plan f =
-  with_state ~cache st ~env plan (fun _ ~base:_ fr -> f fr)
+  with_state ~cache ~work:(ref 0) st ~env plan (fun _ ~base:_ fr -> f fr)
 
 (* Re-test the frontier with the full body and splice the flips into the
    (persistent) old value [base]: one kernel over frontier words — the
    mask's whole word range for [`Mask], the dirty-word list for
-   [`Mask_words] — run by [Pool.parallel_for]. Lane 0 re-tests with the
-   state's cached tester and splices its flips straight into the result,
-   which on a one-lane pool is the whole splice; every other lane
-   compiles its own tester on first use (testers charge their compiling
-   domain and own a slot array) and collects its flips, which are
-   spliced in after the job returns. Distinct words partition the
-   frontier, so the flips are disjoint and the result is the same on any
-   pool. A frontier below [cutoff] tuples, and the [`Tuples] fast path
-   (a handful of tuples at most), never fan out. *)
-let splice ~pool ~cutoff st ~env (s : state) ~base
+   [`Mask_words] — run by [Pool.parallel_for]. Every lane counts its
+   re-tests into a counter of its own. Lane 0 re-tests with the state's
+   cached tester and splices its flips straight into the result, which
+   on a one-lane pool is the whole splice; every other lane compiles its
+   own tester on first use (a tester owns a slot array) and collects its
+   flips. After the job returns, the other lanes' flips are spliced in
+   and every lane's counter is added into [work]. Distinct words
+   partition the frontier, so the flips are disjoint and the result and
+   its work are the same on any pool. A frontier below [cutoff] tuples,
+   and the [`Tuples] fast path (a handful of tuples at most), never fan
+   out. *)
+let splice ~work ~pool ~cutoff st ~env (s : state) ~base
     (fr :
       [ `Mask of Bitrel.t
       | `Mask_words of Bitrel.t * int list
@@ -781,11 +759,13 @@ let splice ~pool ~cutoff st ~env (s : state) ~base
   let out = ref base in
   let flips = Array.make (Pool.lanes pool) [] in
   let testers = Array.make (Pool.lanes pool) None in
+  let counters = Array.init (Pool.lanes pool) (fun _ -> ref 0) in
   (* one lane's re-test, resolved once per chunk *)
   let lane_retest lane =
+    let work = counters.(lane) in
     let test, flip =
       if lane = 0 then
-        ( Eval.test_compiled s.s_tester,
+        ( Eval.test_compiled ~work s.s_tester,
           fun tup now ->
             out :=
               if now then Relation.add !out tup else Relation.remove !out tup )
@@ -795,7 +775,7 @@ let splice ~pool ~cutoff st ~env (s : state) ~base
           | Some t -> t
           | None ->
               let t =
-                Eval.test_compiled
+                Eval.test_compiled ~work
                   (Eval.compile_tester st ~vars:s.s_plan.rp_vars ~env
                      s.s_plan.rp_body)
               in
@@ -828,25 +808,28 @@ let splice ~pool ~cutoff st ~env (s : state) ~base
             retest_words retest mask ~word_lo:words.(i)
               ~word_hi:(words.(i) + 1)
           done));
+  Array.iter (fun c -> charge work !c) counters;
   Array.fold_left
     (List.fold_left (fun rel (tup, now) ->
          if now then Relation.add rel tup else Relation.remove rel tup))
     !out flips
 
-let define ~cache ?(fallback = `Tuple) ?(pool = Pool.inline)
+let define ?(work = ref 0) ~cache ?(fallback = `Tuple) ?(pool = Pool.inline)
     ?(cutoff = Pool.default_cutoff) st ?(env = []) ?batch (plan : rule_plan) =
   let full () =
     match fallback with
     | `Tuple ->
-        Eval.define ~pool ~cutoff st ~vars:plan.rp_vars ~env plan.rp_body
+        Eval.define ~work ~pool ~cutoff st ~vars:plan.rp_vars ~env
+          plan.rp_body
     | `Bulk ->
-        Bulk_eval.define ~pool ~cutoff st ~vars:plan.rp_vars ~env plan.rp_body
+        Bulk_eval.define ~work ~pool ~cutoff st ~vars:plan.rp_vars ~env
+          plan.rp_body
   in
   match plan.rp_frame with
   | None -> full ()
   | Some _ ->
-      with_state ~cache st ~env ?batch plan (fun s ~base fr ->
+      with_state ~cache ~work st ~env ?batch plan (fun s ~base fr ->
           match fr with
           | `Full -> full ()
           | (`Tuples _ | `Mask _ | `Mask_words _) as fr ->
-              splice ~pool ~cutoff st ~env s ~base fr)
+              splice ~work ~pool ~cutoff st ~env s ~base fr)

@@ -36,9 +36,10 @@
     fallback backend — the [--delta-cutoff] threshold. Frontier tuples
     are re-tested with the {e full} body via {!Eval.compile_tester}, so the
     support analysis only ever has to be an upper bound, never exact.
-    Work accounting: mask words and anchor scans are charged via
-    {!Eval.add_work}, frontier re-tests charge atomic evaluations as
-    usual — mixed units, like the tuple/bulk comparison of E20.
+    Work accounting: mask words and anchor scans are charged as words,
+    frontier re-tests as atomic evaluations — mixed units, like the
+    tuple/bulk comparison of E20 — all to the caller's [?work]
+    counter.
 
     {b Persistent frontier state} (E25): the per-step {e fixed} costs —
     tester and guard compilation, anchor re-enumeration, mask
@@ -153,6 +154,7 @@ type frontier =
     rule's next step. *)
 
 val frontier :
+  ?work:int ref ->
   Structure.t ->
   env:(string * int) list ->
   base:Relation.t ->
@@ -167,7 +169,8 @@ val frontier :
     budget, or the tuple space overflows. [base] must be the target's
     pre-state value. Never returns [`Mask_words] and keeps no state —
     the qcheck law holds the incrementally-maintained frontier of
-    {!with_frontier} equal to this one, step by step. *)
+    {!with_frontier} equal to this one, step by step. Guard tests,
+    anchor scans and mask fills are charged to [work]. *)
 
 (** {1 Batch scopes}
 
@@ -258,6 +261,7 @@ val memo_misses : unit -> int
     counters expose the cache behaviour for tests and benches. *)
 
 val define :
+  ?work:int ref ->
   cache:cache ->
   ?fallback:[ `Tuple | `Bulk ] ->
   ?pool:Dynfo_engine.Pool.t ->
@@ -281,7 +285,10 @@ val define :
     {!Dynfo_engine.Pool.inline} it splices directly; on more lanes, lane
     0 re-tests with the state's cached tester, every other lane compiles
     its own and collects its flips, and those flips are spliced after the
-    job returns. [`Tuples] frontiers and frontiers below [cutoff] tuples
+    job returns. Each lane counts its re-tests into a counter of its
+    own, added into [work] after the job with the frontier's own charges
+    (guards, anchors, mask words), so the work is the same on any pool.
+    [`Tuples] frontiers and frontiers below [cutoff] tuples
     (default {!Dynfo_engine.Pool.default_cutoff}) never fan out. [batch]
     opens/joins a batch scope (see above); without it every call clears
     the previous step's words.

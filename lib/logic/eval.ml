@@ -4,40 +4,6 @@ exception Unbound_variable of string
 exception Unknown_relation of string
 exception Arity_error of string
 
-(* The work counter under parallelism: each domain owns a private counter
-   (domain-local storage), registered in a global list the first time the
-   domain evaluates anything. [work] sums all registered counters, so the
-   total is exact no matter which domains performed the evaluations;
-   [reset_work] zeroes them all. Closures capture the counter of the
-   domain that *compiled* them, so a compiled formula must be evaluated
-   by its compiling domain — which is why every pool lane of [define]
-   compiles its own copy. *)
-let all_counters : int ref list Atomic.t = Atomic.make []
-
-let counter_key =
-  Domain.DLS.new_key (fun () ->
-      let r = ref 0 in
-      let rec register () =
-        let l = Atomic.get all_counters in
-        if not (Atomic.compare_and_set all_counters l (r :: l)) then
-          register ()
-      in
-      register ();
-      r)
-
-let my_counter () = Domain.DLS.get counter_key
-let work () = List.fold_left (fun acc r -> acc + !r) 0 (Atomic.get all_counters)
-let reset_work () = List.iter (fun r -> r := 0) (Atomic.get all_counters)
-
-let with_work f =
-  let before = work () in
-  let x = f () in
-  (x, work () - before)
-
-let add_work k =
-  let c = my_counter () in
-  c := !c + k
-
 (* Symbol resolution for the compiler. Resolving through ref cells (one
    per atom occurrence) costs one extra load per test but lets
    {!compile_tester} repoint a compiled closure at a later step's
@@ -73,10 +39,11 @@ let bound_of_structure st =
 
 (* Compile [f] to a closure over a slot array. [env] maps bound variable
    names to slots; [next] is the next free slot. Compilation resolves
-   relation symbols through [b] once. *)
-let compile_bound b env next f =
+   relation symbols through [b] once. Every atomic evaluation of the
+   closure increments [work]: the counter is captured, so a closure
+   charges only the counter it was compiled against. *)
+let compile_bound b ~work env next f =
   let n = b.b_size in
-  let work_counter = my_counter () in
   let term env (t : Formula.term) : int array -> int =
     match t with
     | Formula.Var x -> (
@@ -104,7 +71,7 @@ let compile_bound b env next f =
         let getters = Array.of_list (List.map (term env) ts) in
         let buf = Array.make arity 0 in
         fun a ->
-          incr work_counter;
+          incr work;
           for i = 0 to arity - 1 do
             buf.(i) <- getters.(i) a
           done;
@@ -114,22 +81,22 @@ let compile_bound b env next f =
     | Eq (x, y) ->
         let gx = term env x and gy = term env y in
         fun a ->
-          incr work_counter;
+          incr work;
           gx a = gy a
     | Le (x, y) ->
         let gx = term env x and gy = term env y in
         fun a ->
-          incr work_counter;
+          incr work;
           gx a <= gy a
     | Lt (x, y) ->
         let gx = term env x and gy = term env y in
         fun a ->
-          incr work_counter;
+          incr work;
           gx a < gy a
     | Bit (x, y) ->
         let gx = term env x and gy = term env y in
         fun a ->
-          incr work_counter;
+          incr work;
           let vx = gx a and vy = gy a in
           vy < Sys.int_size && (vx lsr vy) land 1 = 1
     | Not g ->
@@ -196,8 +163,8 @@ let compile_bound b env next f =
 (* Compile [f] over the slot layout every entry point shares: the tuple
    variables [vars] first, then the environment's names. Returns the
    environment's slots, a slot array with the environment values loaded,
-   and the closure over it. *)
-let compile_slots b ~vars ~env f =
+   and the closure over it, charging [work]. *)
+let compile_slots b ~work ~vars ~env f =
   let next = ref 0 in
   let slots names =
     List.map
@@ -209,28 +176,29 @@ let compile_slots b ~vars ~env f =
   in
   let var_slots = slots vars in
   let env_slots = slots (List.map fst env) in
-  let fn = compile_bound b (var_slots @ env_slots) next f in
+  let fn = compile_bound b ~work (var_slots @ env_slots) next f in
   let a = Array.make (max 1 !next) 0 in
   List.iter2 (fun (_, s) (_, v) -> a.(s) <- v) env_slots env;
   (env_slots, a, fn)
 
-let holds st ?(env = []) f =
-  let _, a, fn = compile_slots (bound_of_structure st) ~vars:[] ~env f in
+let holds ?(work = ref 0) st ?(env = []) f =
+  let _, a, fn = compile_slots (bound_of_structure st) ~work ~vars:[] ~env f in
   fn a
 
 (* One kernel over tuple-prefix codes: the first [min arity 2]
    coordinates flattened (n or n^2 units, fine-grained enough to balance
    up to 128 lanes), the remaining ones enumerated inside each unit, in
    the same lexicographic order as a plain nested loop. A lane compiles
-   its own closure on first use — so the work it charges is its own
-   domain's and its slot array is unshared — and collects its hits as
-   [Array.sub] blits of the variable prefix. On a one-lane pool that is
-   one compile, one hit list and one [Relation.of_list]; on more lanes
-   the lanes' hit lists are concatenated into that one set build. Every
-   candidate is tested exactly once either way, so the relation and the
-   FO work count do not depend on the pool. *)
-let define ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) st ~vars
-    ?(env = []) f =
+   its own closure on first use — against a work counter of its own, and
+   over an unshared slot array — and collects its hits as [Array.sub]
+   blits of the variable prefix. On a one-lane pool that is one compile,
+   one hit list and one [Relation.of_list]; on more lanes the lanes' hit
+   lists are concatenated into that one set build and their counters
+   added into [work], both after the job. Every candidate is tested
+   exactly once either way, so the relation and the FO work count do not
+   depend on the pool. *)
+let define ?(work = ref 0) ?(pool = Pool.inline)
+    ?(cutoff = Pool.default_cutoff) st ~vars ?(env = []) f =
   let n = Structure.size st in
   let arity = List.length vars in
   let pool =
@@ -241,12 +209,13 @@ let define ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) st ~vars
   let prefix = min arity 2 in
   Pool.parallel_for pool ~lo:0 ~hi:(Pool.tuple_space ~size:n ~arity:prefix)
     (fun ~lane lo hi ->
-      let a, fn, hits =
+      let a, fn, hits, _ =
         match lanes.(lane) with
         | Some l -> l
         | None ->
-            let _, a, fn = compile_slots b ~vars ~env f in
-            let l = (a, fn, ref []) in
+            let w = ref 0 in
+            let _, a, fn = compile_slots b ~work:w ~vars ~env f in
+            let l = (a, fn, ref [], w) in
             lanes.(lane) <- Some l;
             l
       in
@@ -284,7 +253,8 @@ let define ?(pool = Pool.inline) ?(cutoff = Pool.default_cutoff) st ~vars
     (Array.fold_left
        (fun acc -> function
          | None -> acc
-         | Some (_, _, hits) ->
+         | Some (_, _, hits, w) ->
+             work := !work + !w;
              if acc = [] then !hits else List.rev_append !hits acc)
        [] lanes)
 
@@ -299,6 +269,7 @@ type compiled = {
   c_env_slots : int array;
   c_arr : int array;
   c_fn : int array -> bool;
+  c_work : int ref;  (* charged by [c_fn], drained by [test_compiled] *)
 }
 
 let compile_tester st ~vars ?(env = []) f =
@@ -328,7 +299,8 @@ let compile_tester st ~vars ?(env = []) f =
               r);
     }
   in
-  let env_slots, a, fn = compile_slots b ~vars ~env f in
+  let work = ref 0 in
+  let env_slots, a, fn = compile_slots b ~work ~vars ~env f in
   {
     c_size = b.b_size;
     c_arity = List.length vars;
@@ -338,6 +310,7 @@ let compile_tester st ~vars ?(env = []) f =
     c_env_slots = Array.of_list (List.map snd env_slots);
     c_arr = a;
     c_fn = fn;
+    c_work = work;
   }
 
 let rebind c st ~env =
@@ -359,8 +332,11 @@ let rebind c st ~env =
     c.c_consts;
   List.iteri (fun i (_, v) -> c.c_arr.(c.c_env_slots.(i)) <- v) env
 
-let test_compiled c tup =
+let test_compiled ?(work = ref 0) c tup =
   if Array.length tup <> c.c_arity then
     invalid_arg "Eval.test_compiled: tuple arity mismatch";
   Array.blit tup 0 c.c_arr 0 c.c_arity;
-  c.c_fn c.c_arr
+  let holds = c.c_fn c.c_arr in
+  work := !work + !(c.c_work);
+  c.c_work := 0;
+  holds

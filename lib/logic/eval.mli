@@ -10,18 +10,17 @@
     must be a constant symbol of the structure. Anything else raises
     {!Unbound_variable} at compile time.
 
-    A global {e work counter} counts atomic-formula evaluations. Since
+    {e Work} is the number of atomic-formula evaluations. Since
     FO = CRAM[1] (uniform CRCW-PRAM with polynomial hardware, constant
-    time), this counter is the sequential simulation cost of the parallel
+    time), it is the sequential simulation cost of the parallel
     evaluation — the resource that the paper's Corollary 5.7 relates to
     [CRAM[n]]. Benchmarks report it alongside wall-clock time.
 
-    The counter is {e domain-safe}: every domain increments a private
-    counter (no contention on the hot path) and {!work} aggregates them,
-    so totals stay exact when {!define} runs on a multi-lane pool. One
-    caveat follows from the implementation: a compiled closure charges
-    the domain that compiled it, so cross-domain hand-off of compiled
-    formulas mis-attributes (but never loses) work. *)
+    Every evaluating function takes an optional [?work] counter owned by
+    the caller and adds its work there and nowhere else, so a count
+    covers exactly the calls it was passed to, whatever else the process
+    evaluates meanwhile. [?work] is an output: passing it or not changes
+    no result. *)
 
 exception Unbound_variable of string
 (** An identifier is neither a bound variable, an environment entry, nor a
@@ -37,11 +36,13 @@ exception Arity_error of string
 (** A relation atom's argument count differs from the symbol's declared
     arity. *)
 
-val holds : Structure.t -> ?env:(string * int) list -> Formula.t -> bool
+val holds :
+  ?work:int ref -> Structure.t -> ?env:(string * int) list -> Formula.t -> bool
 (** [holds st ~env f] — truth of [f] in [st] under the assignment [env]
     for its free variables. *)
 
 val define :
+  ?work:int ref ->
   ?pool:Dynfo_engine.Pool.t ->
   ?cutoff:int ->
   Structure.t ->
@@ -60,10 +61,10 @@ val define :
     {!Dynfo_engine.Pool.parallel_for} on [pool] — the CRAM side of
     FO = CRAM[1]. On the default {!Dynfo_engine.Pool.inline} that is the
     plain sequential enumeration; on more lanes each lane compiles its
-    own closure, enumerates its chunks and keeps its own hits, merged
-    once at the end. Every candidate is tested exactly once in either
-    case, so the relation {e and} the FO work count are the same on any
-    pool. Tuple spaces smaller than [cutoff] (default
+    own closure, enumerates its chunks and keeps its own hits and work
+    count, merged once at the end. Every candidate is tested exactly
+    once in either case, so the relation {e and} the FO work count are
+    the same on any pool. Tuple spaces smaller than [cutoff] (default
     {!Dynfo_engine.Pool.default_cutoff}) run inline; [~cutoff:0] forces
     the fan-out (tests do). Must not be given a multi-lane pool from
     inside one of that pool's jobs: the pool is not reentrant. *)
@@ -78,11 +79,12 @@ val define :
     compilation across the steps of a run (and across the requests of a
     batch): compile once per rule, rebind per step.
 
-    Work attribution caveat: the compiled closure charges the domain
-    that compiled it (see the header comment), and it owns a mutable
-    slot array, so a tester must stay on its compiling domain — the
-    delta backend's pool lanes other than lane 0 compile their own for
-    exactly this reason. *)
+    A tester owns a mutable slot array and a work counter, so one tester
+    serves one evaluation at a time — the delta backend's pool lanes
+    other than lane 0 compile their own for exactly this reason. Each
+    {!test_compiled} drains the tester's counter into its caller's, so
+    a tester that outlives a step charges each step only its own
+    tests. *)
 
 type compiled
 
@@ -104,26 +106,7 @@ val rebind : compiled -> Structure.t -> env:(string * int) list -> unit
     formula uses is missing from [st] — the same error a fresh
     compilation against [st] would raise. *)
 
-val test_compiled : compiled -> Tuple.t -> bool
-(** Membership test under the latest {!rebind}. Raises
-    [Invalid_argument] on tuple arity mismatch. *)
-
-val work : unit -> int
-(** Atomic evaluations performed since the last {!reset_work}, summed
-    across all domains. *)
-
-val reset_work : unit -> unit
-
-val add_work : int -> unit
-(** [add_work k] charges [k] units of work to the calling domain's
-    counter. The set-at-a-time backend ({!Bulk_eval}) uses this to
-    charge the {e words} its bitwise kernels process, so both backends
-    report through the same counter — with different units: atomic
-    evaluations tuple-at-a-time, machine words set-at-a-time. *)
-
-val with_work : (unit -> 'a) -> 'a * int
-(** [with_work f] runs [f] and returns its result together with the number
-    of atomic evaluations it performed, without resetting the global
-    counter — so nested and sequential scopes compose, unlike the
-    [reset_work]/[work] pair. (Concurrent scopes on distinct domains still
-    observe each other's work; scope one measurement at a time.) *)
+val test_compiled : ?work:int ref -> compiled -> Tuple.t -> bool
+(** Membership test under the latest {!rebind}, its atomic evaluations
+    added to [work]. Raises [Invalid_argument] on tuple arity
+    mismatch. *)

@@ -106,9 +106,11 @@ val update : t -> Request.t list -> int * int
 (** Enqueue a batch and wait for its tick; returns
     [(applied, tick_work)] where [applied] is this call's request count
     and [tick_work] the work charge of the {e whole} tick it ran in
-    (which may have included coalesced neighbours). An invalid request
-    rejects this call's batch atomically ([Invalid_argument]) without
-    disturbing coalesced neighbours. *)
+    (which may have included coalesced neighbours). The tick meters its
+    own counter ({!Dynfo.Runner.step_batch_full}), so [tick_work] is
+    exact however many other sessions evaluate concurrently. An invalid
+    request rejects this call's batch atomically ([Invalid_argument])
+    without disturbing coalesced neighbours. *)
 
 val query : t -> ?name:string -> int list -> bool
 (** The program query ([?name] absent) or a named parameterised query.

@@ -3,6 +3,7 @@
 # background, drive the whole protocol surface over one connection
 # (create, batched update, query, snapshot, restore, stats, list),
 # then load-generate every backend with an offline --verify replay,
+# check that two sessions loaded at once each report their solo work,
 # and finally assert the daemon shuts down cleanly and unlinks its
 # socket. Uses the already-built binary so concurrent invocations do
 # not fight over the dune build lock; override with DYNFO=... .
@@ -96,6 +97,32 @@ echo "$OUT" | grep -q '"deduped": 0' && {
   echo "serve_smoke: commute session deduped nothing on parity" >&2
   exit 1
 }
+
+# Concurrent sessions: every tick meters a work counter of its own, so
+# a session's reported work must not depend on what other sessions
+# evaluate meanwhile. msf's matrices are cold here, so its create
+# model-checks while reach_u steps; then each runs again alone.
+LG_R=(loadgen reach_u --socket "$SOCK" --backend delta --size 10 --length 400
+  --batch 4 --seed 1 --json)
+LG_M=(loadgen msf --socket "$SOCK" --backend delta --length 200 --batch 4
+  --seed 2 --json)
+"$DYNFO" "${LG_R[@]}" >"$TMP/reach_u.both" &
+R_PID=$!
+"$DYNFO" "${LG_M[@]}" >"$TMP/msf.both" &
+M_PID=$!
+wait "$R_PID"
+wait "$M_PID"
+"$DYNFO" "${LG_R[@]}" >"$TMP/reach_u.alone"
+"$DYNFO" "${LG_M[@]}" >"$TMP/msf.alone"
+for p in reach_u msf; do
+  cat "$TMP/$p.both"
+  both=$(sed -n 's/.*"work": \([0-9]*\).*/\1/p' "$TMP/$p.both")
+  alone=$(sed -n 's/.*"work": \([0-9]*\).*/\1/p' "$TMP/$p.alone")
+  [[ -n "$both" && "$both" == "$alone" ]] || {
+    echo "serve_smoke: $p work $both next to another session, $alone alone" >&2
+    exit 1
+  }
+done
 
 # A commute-mode protocol exchange: duplicate requests in one batch are
 # acknowledged in full, and stats exposes the coalescing counters.

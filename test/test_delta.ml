@@ -800,6 +800,57 @@ let test_fast_path_and_memo () =
      programs can only add a handful, however many steps ran *)
   check tb "bounded compiles" true (Delta_eval.memo_misses () - misses0 <= 32)
 
+(* --- a step's work is its own ---------------------------------------------- *)
+
+let step_ticks ?defchange s reqs =
+  List.rev
+    (snd
+       (List.fold_left
+          (fun (s, ws) r ->
+            let s, w, _ =
+              Runner.step_batch_full ~backend:`Delta ?defchange s [ r ]
+            in
+            (s, w :: ws))
+          (s, []) reqs))
+
+(* [step_batch_full] meters a fresh counter per tick, so evaluation that
+   runs during a tick but not for it is not charged to it: here a second
+   runner is stepped from inside the tick's defchange callback, which
+   then answers like the installed oracle — the shape of a cold oracle
+   model-checking inside the first tick that asks it. *)
+let test_tick_work_excludes_callbacks () =
+  Dynfo_analysis.Advisor.install ();
+  let e = Registry.find "reach_u" in
+  let size = 8 in
+  let reqs = e.workload (Random.State.make [| 5 |]) ~size ~length:40 in
+  let solo = step_ticks (Runner.init e.program ~size) reqs in
+  let other = ref (Runner.init e.program ~size) in
+  let defchange kind rel =
+    List.iter (fun r -> other := Runner.step ~backend:`Delta !other r) reqs;
+    Runner.defchange_verdict e.program kind rel
+  in
+  check (Alcotest.list ti) "each tick's work equals its solo work" solo
+    (step_ticks ~defchange (Runner.init e.program ~size) reqs)
+
+(* Two domains step runners of their own at once: every step charges
+   exactly its solo work, whatever the other domain evaluates. *)
+let test_two_domains_work_alone () =
+  Dynfo_analysis.Advisor.install ();
+  let e = Registry.find "reach_u" in
+  let size = 10 in
+  let run seed () =
+    let reqs = e.workload (Random.State.make [| seed |]) ~size ~length:300 in
+    snd (Runner.run_work ~backend:`Delta (Runner.init e.program ~size) reqs)
+  in
+  let seeds = [ 11; 12 ] in
+  let solo = List.map (fun seed -> run seed ()) seeds in
+  let together =
+    List.map Domain.join (List.map (fun seed -> Domain.spawn (run seed)) seeds)
+  in
+  List.iter2
+    (fun a b -> check (Alcotest.list ti) "per-step work equals solo" a b)
+    solo together
+
 let () =
   Alcotest.run "delta"
     [
@@ -844,6 +895,13 @@ let () =
             test_frontier_state_per_runner;
           Alcotest.test_case "mask reuse and threshold switches" `Quick
             test_mask_reuse_and_threshold_switch;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "a tick's work excludes its callbacks" `Quick
+            test_tick_work_excludes_callbacks;
+          Alcotest.test_case "two domains: each step's work is its own"
+            `Quick test_two_domains_work_alone;
         ] );
       ( "support",
         [ Alcotest.test_case "showcase frames" `Quick test_support_reports ] );

@@ -61,6 +61,14 @@ let test_pool_exception_propagates () =
 
 (* --- each evaluator on a 4-lane pool vs inline ------------------------- *)
 
+(* Run [seq] and [par], each charging a counter of its own, and check
+   they define the same relation with the same work. *)
+let same what seq par =
+  let ws = ref 0 and wp = ref 0 in
+  let rs = seq ~work:ws () and rp = par ~work:wp () in
+  check tb (what ^ " same relation") true (Relation.equal rs rp);
+  check ti (what ^ " same work") !ws !wp
+
 (* The pool runs each evaluator's one kernel per chunk instead of once
    over the whole range, so on any pool the relation and the work count
    must equal the inline run's — for the tuple, bulk and delta
@@ -73,11 +81,6 @@ let test_pool_exception_propagates () =
 let test_par_define_matches () =
   let v = Vocab.make ~rels:[ ("E", 2); ("R", 2) ] ~consts:[ "s" ] in
   let rng = Random.State.make [| 99 |] in
-  let same what seq par =
-    let (rs, ws), (rp, wp) = (Eval.with_work seq, Eval.with_work par) in
-    check tb (what ^ " same relation") true (Relation.equal rs rp);
-    check ti (what ^ " same work") ws wp
-  in
   Pool.with_pool ~lanes:4 (fun pool ->
       List.iter
         (fun size ->
@@ -92,11 +95,12 @@ let test_par_define_matches () =
             (fun (vars, src) ->
               let f = Parser.parse src in
               same ("tuple " ^ src)
-                (fun () -> Eval.define !st ~vars f)
-                (fun () -> Eval.define ~pool ~cutoff:0 !st ~vars f);
+                (fun ~work () -> Eval.define ~work !st ~vars f)
+                (fun ~work () -> Eval.define ~work ~pool ~cutoff:0 !st ~vars f);
               same ("bulk " ^ src)
-                (fun () -> Bulk_eval.define !st ~vars f)
-                (fun () -> Bulk_eval.define ~pool ~cutoff:0 !st ~vars f))
+                (fun ~work () -> Bulk_eval.define ~work !st ~vars f)
+                (fun ~work () ->
+                  Bulk_eval.define ~work ~pool ~cutoff:0 !st ~vars f))
             [
               ([ "x" ], "ex y (E(x, y))");
               ([ "x"; "y" ], "E(x, y) | E(y, x)");
@@ -113,11 +117,13 @@ let test_par_define_matches () =
               in
               List.iter
                 (fun fallback ->
-                  let define ?pool () =
-                    Delta_eval.define ~cache:(Delta_eval.new_cache ())
+                  let define ?pool ?work () =
+                    Delta_eval.define ?work ~cache:(Delta_eval.new_cache ())
                       ~fallback ?pool ~cutoff:0 !st ~env plan
                   in
-                  same ("delta " ^ src) define (fun () -> define ~pool ());
+                  same ("delta " ^ src)
+                    (fun ~work () -> define ~work ())
+                    (fun ~work () -> define ~pool ~work ());
                   check tb ("delta " ^ src ^ " == tuple") true
                     (Relation.equal (define ())
                        (Eval.define !st ~vars:[ "x"; "y" ] ~env body)))
@@ -127,6 +133,28 @@ let test_par_define_matches () =
               "(R(x, y) & E(x, y)) | (x = a & y = s)";
             ])
         [ 3; 7; 11; 20 ])
+
+(* The cases above are small, and lane 0 may take every chunk before
+   the pool's workers wake, leaving the merge of the other lanes' hits
+   and work untested. Here the inline run takes tens of
+   milliseconds (n = 24, arity 3, a quantified body), so the worker
+   lanes take chunks of their own and the merge must be right. *)
+let test_par_define_long_job () =
+  let v = Vocab.make ~rels:[ ("E", 2) ] ~consts:[] in
+  let rng = Random.State.make [| 7 |] in
+  let size = 24 in
+  let st = ref (Structure.create ~size v) in
+  for _ = 1 to 4 * size do
+    st :=
+      Structure.add_tuple !st "E"
+        [| Random.State.int rng size; Random.State.int rng size |]
+  done;
+  let vars = [ "x"; "y"; "z" ] in
+  let f = Parser.parse "ex w (E(x, w) & E(w, y) & ~E(y, z))" in
+  Pool.with_pool ~lanes:4 (fun pool ->
+      same "tuple, long job"
+        (fun ~work () -> Eval.define ~work !st ~vars f)
+        (fun ~work () -> Eval.define ~work ~pool ~cutoff:0 !st ~vars f))
 
 (* --- the registry under the parallel runner ------------------------------ *)
 
@@ -225,6 +253,8 @@ let () =
         [
           Alcotest.test_case "define == sequential define" `Quick
             test_par_define_matches;
+          Alcotest.test_case "worker lanes merge on a long define" `Quick
+            test_par_define_long_job;
         ] );
       ( "par_runner",
         [

@@ -586,11 +586,24 @@ let test_eval_arity_error () =
       ignore (Eval.holds st (Parser.parse "ex x (E(x))")))
 
 let test_eval_work_counter () =
+  (* [~E(x, y)] holds everywhere on the empty relation, so the [all]
+     evaluates all 16 atoms, charged to the caller's counter only *)
   let v = Vocab.make ~rels:[ ("E", 2) ] ~consts:[] in
   let st = Structure.create ~size:4 v in
-  Eval.reset_work ();
-  ignore (Eval.holds st (Parser.parse "all x y (~E(x, y))"));
-  check tb "counted" true (Eval.work () >= 16)
+  let f = Parser.parse "all x y (~E(x, y))" in
+  let work = ref 0 in
+  ignore (Eval.holds ~work st f);
+  check ti "counted" 16 !work;
+  ignore (Eval.holds st f);
+  check ti "other calls charge their own counter" 16 !work;
+  (* a tester's atoms reach the caller of each test, once *)
+  let c =
+    Eval.compile_tester st ~vars:[ "x" ] (Parser.parse "all y (~E(x, y))")
+  in
+  ignore (Eval.test_compiled c [| 0 |]);
+  let w = ref 0 in
+  ignore (Eval.test_compiled ~work:w c [| 1 |]);
+  check ti "tester drains per test" 4 !w
 
 let test_parser_errors () =
   List.iter

@@ -619,6 +619,34 @@ let test_session_mixed_traffic () =
     (st.Session.st_hoisted >= 0 && st.Session.st_hoisted <= st.Session.st_steps);
   Session.close sess
 
+(* Two sessions updated at once from two threads: each session's
+   [stats.work] equals its total when run alone, because every tick
+   meters a counter of its own. *)
+let test_session_work_alone () =
+  Dynfo_analysis.Advisor.install ();
+  let e = Registry.find "reach_u" in
+  let size = 10 in
+  let drive seed () =
+    let reqs = e.workload (Random.State.make [| seed |]) ~size ~length:300 in
+    let s =
+      Session.create ~id:(string_of_int seed) ~name:"reach_u" ~backend:`Delta
+        e.program ~size
+    in
+    List.iter (fun r -> ignore (Session.update s [ r ])) reqs;
+    let work = (Session.stats s).Session.st_work in
+    Session.close s;
+    work
+  in
+  let seeds = [ 1; 2 ] in
+  let solo = List.map (fun seed -> drive seed ()) seeds in
+  let together = Array.make (List.length seeds) 0 in
+  List.mapi
+    (fun i seed -> Thread.create (fun () -> together.(i) <- drive seed ()) ())
+    seeds
+  |> List.iter Thread.join;
+  check (Alcotest.list ti) "each session's work equals its solo total" solo
+    (Array.to_list together)
+
 (* --- end to end over a Unix socket ----------------------------------------- *)
 
 let with_server f =
@@ -847,6 +875,8 @@ let () =
             test_session_drain_oracle_once;
           Alcotest.test_case "mixed update/query traffic" `Quick
             test_session_mixed_traffic;
+          Alcotest.test_case "concurrent sessions: work is each one's own"
+            `Quick test_session_work_alone;
         ] );
       ( "daemon",
         [
