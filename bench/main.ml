@@ -822,8 +822,8 @@ let () =
      (insdef/deldef with a range formula) whose expansion against the
      tick's pre-state is part of the timed batch path. The fold
      baseline replays the pre-expanded singletons through [Runner.run]
-     — no planner, no elision, no shared delta batch scope — which is
-     exactly what the Defchange verdicts license skipping. Every cell
+     — no planner, no elision, no absorbed groups — which is exactly
+     what the commute and Defchange verdicts license skipping. Every cell
      is verified offline first: the batch tick and the singleton replay
      must agree on the final structure and the query answer. µs are per
      effective singleton update. 1-core caveat: absolute numbers are
@@ -1201,7 +1201,7 @@ let () =
      not change the input are elided; back-to-back duplicates of
      verified-idempotent ops are deduped before the tick; the batch
      planner groups transposable requests so the delta backend pays one
-     dirty-mask build per group. FIFO mode pushes the identical workload
+     block-plan lookup per group. FIFO mode pushes the identical workload
      through the same wire path under the null oracle — the measurable
      baseline. Workloads get seeded back-to-back duplicates injected
      (~25%) to model retry/at-least-once submitters, and a second

@@ -251,10 +251,10 @@ let analyze_cmd =
       & info [ "defchange" ]
           ~doc:
             "Print the definable-change analysis: per-op \
-             Absorb/Stream/Fold/Unknown batch verdicts (model-checked \
-             against the singleton-sequence fold, including the \
-             FO-definable set-change forms). With $(b,--strict), fail on \
-             any Unknown verdict — unverified means unsafe.")
+             Absorb/Fold/Unknown batch verdicts (model-checked against \
+             the singleton-sequence fold, including the FO-definable \
+             set-change forms). With $(b,--strict), fail on any Unknown \
+             verdict — unverified means unsafe.")
   in
   let mc_size_arg =
     Arg.(

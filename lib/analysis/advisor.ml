@@ -242,24 +242,10 @@ let of_program ?size ?(calibration = Calibration.default) (p : Program.t) =
    delta planner — both are on the per-request path (Runner's block
    lookup calls the planner every step), while [of_program] walks the
    whole program through Metrics and Support.report. Memoize the
-   default-parameter advice by physical program identity, bounded like
-   Support.plan's cache; the parameterised [of_program] itself stays
-   uncached (size-dependent advice is a per-call question). *)
-let advice_cache : (Program.t * advice) list ref = ref []
-let advice_cache_limit = 64
-
-let of_program_default p =
-  match List.find_opt (fun (q, _) -> q == p) !advice_cache with
-  | Some (_, a) -> a
-  | None ->
-      let a = of_program p in
-      let trimmed =
-        if List.length !advice_cache >= advice_cache_limit then
-          List.filteri (fun i _ -> i < advice_cache_limit - 1) !advice_cache
-        else !advice_cache
-      in
-      advice_cache := (p, a) :: trimmed;
-      a
+   default-parameter advice by physical program identity; the
+   parameterised [of_program] itself stays uncached (size-dependent
+   advice is a per-call question). *)
+let of_program_default = Mc.memo ( == ) (fun p -> of_program p)
 
 let choose p = (of_program_default p).backend
 let fallback_of p = (of_program_default p).fallback

@@ -1,64 +1,32 @@
 open Dynfo_logic
 open Dynfo
 
-(* Definable-change analysis: which whole-batch evaluation strategies
-   are safe per (program, update op)? The serving layer coalesces
-   batches into one evaluation tick; this module licenses the two
-   exploitations [Runner.step_batch] knows:
+(* Definable-change analysis: which whole-batch evaluation strategy is
+   safe per (program, update op)? The serving layer coalesces batches
+   into one evaluation tick; this module licenses the one exploitation
+   [Runner.step_batch] knows beyond the singleton fold:
 
    - [Absorb]: apply the input changes and skip the update block —
-     default maintenance for the whole group;
-   - [Stream]: fold the members under one [Delta_eval] batch scope so
-     the group accumulates a single dirty mask (one clear, one unioned
-     frontier) instead of one per member.
+     default maintenance for the whole group.
 
-   Following the PR-4/PR-8 discipline, static evidence only nominates:
-   (1) syntactic — no update block, or no rule reads the relation the
-   batch writes, so members cannot observe each other's effects;
-   (2) frame-based — every rule carries a slab frame from its Support
-   plan, so the group's frontiers union into one mask.
-   Layer (3), the bounded model checker [Mc], is the only thing that
-   grants a verdict: it runs the {e actual exploited code paths}
-   ([Runner.absorb_group], [Runner.step_batch ~defchange]) against the
-   singleton-sequence fold over batches of size 1..3, exhaustively
-   while the budget lasts and with seeded sampling beyond, plus the
-   FO-definable set-change forms ([ins*]/[insdef]) against their
-   explicit expansion. Anything unverified is [Unknown], which every
-   consumer treats as [Fold] — the unchanged singleton fold. *)
+   Every other op folds its members one by one, each evaluating its own
+   frontier. Following the PR-4/PR-8 discipline, static evidence only
+   nominates (an op with no update block, or an empty one, has nothing
+   but default maintenance to do); the bounded model checker [Mc] is the
+   only thing that grants a verdict: it runs the {e actual exploited
+   code paths} ([Runner.absorb_group], [Runner.step_batch ~defchange])
+   against the singleton-sequence fold over batches of size 1..3,
+   exhaustively while the budget lasts and with seeded sampling beyond,
+   plus the FO-definable set-change forms ([ins*]/[insdef]) against
+   their explicit expansion. Anything unverified is [Unknown], which
+   every consumer treats as [Fold] — the unchanged singleton fold. *)
 
 (* --- operations (shared with Commute) -------------------------------------- *)
 
 let op_name = Commute.op_name
 let ops_of = Commute.ops_of
 
-(* --- static evidence (layers 1 and 2) --------------------------------------- *)
-
-(* Does the block read the symbol the op writes (relation atom or free
-   constant occurrence)? If not, no member of a same-op batch can
-   observe another member's write — the batch is tick-safe
-   syntactically. Temporaries are scanned directly: a rule consuming a
-   temp that read the symbol is covered by the temp's own mention. *)
-let block_reads (u : Program.update) name =
-  let reads_in (r : Program.rule) =
-    List.exists (fun (n, _) -> n = name) (Formula.rel_atoms r.body)
-    || List.exists
-         (fun x ->
-           x = name && (not (List.mem x u.params)) && not (List.mem x r.vars))
-         (Formula.free_vars r.body)
-  in
-  List.exists reads_in (u.temps @ u.rules)
-
-(* Every rule carries a slab frame in its Support plan: the delta
-   backend bounds each member's frontier by slabs, so a group's
-   frontiers union into one [`Mask_words] mask. *)
-let framed (u : Program.update) =
-  u.rules <> []
-  && List.for_all
-       (fun (r : Program.rule) ->
-         match (Support.plan_rule r).Delta_eval.rp_frame with
-         | Some { f_out = Slabs _; f_in = Slabs _ } -> true
-         | _ -> false)
-       u.rules
+(* --- static evidence ------------------------------------------------------ *)
 
 type source = Commute.source = Syntactic | Frames | Mc_only
 
@@ -67,13 +35,9 @@ let static_evidence p (o : Commute.op) =
   | None -> (Syntactic, "no update block — default maintenance only")
   | Some (u : Program.update) when u.rules = [] && u.temps = [] ->
       (Syntactic, "empty update block")
-  | Some u when not (block_reads u o.op_rel) ->
-      (Syntactic, "no rule reads the written symbol across members")
-  | Some u when framed u ->
-      (Frames, "every rule carries a slab frame — one union mask per group")
   | Some _ -> (Mc_only, "no static batch-safety evidence")
 
-(* --- the laws (layer 3, checked by Mc) -------------------------------------- *)
+(* --- the laws (checked by Mc) --------------------------------------------- *)
 
 (* Reference semantics for every law: the singleton-sequence fold on
    the tuple backend. *)
@@ -100,33 +64,6 @@ let absorb_check p o =
            (Runner.restore p st) reqs
        in
        Structure.equal (Runner.structure fold_s) (Runner.structure full))
-
-(* Stream law: the delta backend folding the group under one batch
-   scope (one mask clear, unioned frontiers) equals the fold. Sound
-   unconditionally — superset frontiers re-test with the full rule
-   body — but checked anyway so an implementation regression is caught
-   here, not in serving. Cadence cross-check on the bulk backend
-   (where [`Stream] degenerates to the plain fold). *)
-let stream_check p o =
-  let count = ref 0 in
-  fun st argss ->
-    incr count;
-    let reqs = List.map (Commute.request_of o) argss in
-    let fold_s = fold_ref p reqs st in
-    let str_s =
-      Runner.step_batch ~backend:`Delta ~oracle:Runner.null_oracle
-        ~defchange:(fun _ _ -> `Stream)
-        (Runner.restore p st) reqs
-    in
-    Structure.equal (Runner.structure fold_s) (Runner.structure str_s)
-    && (!count land 3 <> 0
-       ||
-       let bulk_s =
-         Runner.step_batch ~backend:`Bulk ~oracle:Runner.null_oracle
-           ~defchange:(fun _ _ -> `Stream)
-           (Runner.restore p st) reqs
-       in
-       Structure.equal (Runner.structure fold_s) (Runner.structure bulk_s))
 
 (* FO-definable set-change law: the [insdef]/[deldef] request whose
    formula denotes exactly the member tuples equals the explicit
@@ -178,17 +115,16 @@ let def_check p (o : Commute.op) =
 
 (* --- verdicts --------------------------------------------------------------- *)
 
-type verdict = Absorb | Stream | Fold | Unknown
+type verdict = Absorb | Fold | Unknown
 
 type cell = {
   d_op : Commute.op;
   d_verdict : verdict;
   d_source : source;
-  d_domain : Mc.domain option;  (** the granting law's domain; [Some] on Absorb/Stream *)
+  d_domain : Mc.domain option;  (** the granting law's domain; [Some] on Absorb *)
   d_checks : int;  (** total model-checker combinations across all laws *)
   d_exhaustive_upto : int;  (** the granting law's exhaustive size bound *)
   d_absorb : Mc.law;
-  d_stream : Mc.law;
   d_definable : Mc.law;  (** trivial (0 checks) for [set] ops — no set form *)
   d_reason : string;
 }
@@ -220,14 +156,13 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
       Mc.verify_law ~seed:0xDEFC ~max_size ~budget ~samples p ~shapes ~check
     in
     let dom_a, mc_a, law_a = verify (absorb_check p o) in
-    let dom_s, mc_s, law_s = verify (stream_check p o) in
     let dom_d, mc_d, law_d =
       match o.op_kind with
       | `Set -> (None, no_mc, trivial)
       | `Ins | `Del -> verify (def_check p o)
     in
     let def_ok = law_d.Mc.law_holds in
-    let checks = mc_a.mc_checks + mc_s.mc_checks + mc_d.mc_checks in
+    let checks = mc_a.mc_checks + mc_d.mc_checks in
     let def_note =
       match o.op_kind with
       | `Set -> ""
@@ -253,20 +188,13 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
           mc_a.mc_exhaustive_upto,
           Printf.sprintf "%s; absorb law confirmed %s%s" static_reason
             (Mc.domain_desc dom_a mc_a) def_note )
-      else if law_s.Mc.law_holds && def_ok then
-        ( Stream,
-          dom_s,
-          mc_s.mc_exhaustive_upto,
-          Printf.sprintf "%s; %s; stream law confirmed %s%s" static_reason
-            absorb_note (Mc.domain_desc dom_s mc_s) def_note )
       else if checks = 0 then
         (Unknown, None, 0, "no state/argument combination checked — unverified")
       else
         ( Fold,
           None,
           0,
-          Printf.sprintf "%s; %s; %s%s" static_reason absorb_note
-            (cex_desc "stream" mc_s) def_note )
+          Printf.sprintf "%s; %s%s" static_reason absorb_note def_note )
     in
     {
       d_op = o;
@@ -276,7 +204,6 @@ let analyze ?(max_size = 4) ?(budget = 20_000) ?(samples = 48)
       d_checks = checks;
       d_exhaustive_upto = exh;
       d_absorb = law_a;
-      d_stream = law_s;
       d_definable = law_d;
       d_reason = reason;
     }
@@ -300,7 +227,6 @@ let matrix_of = Mc.memo ( == ) (fun p -> analyze p)
 let oracle_of (p : Program.t) kind rel : Runner.defchange_verdict =
   match verdict (matrix_of p) kind rel with
   | Absorb -> `Absorb
-  | Stream -> `Stream
   | Fold | Unknown -> `Fold
 
 let install () = Runner.set_defchange_oracle oracle_of
@@ -309,13 +235,11 @@ let install () = Runner.set_defchange_oracle oracle_of
 
 let verdict_string = function
   | Absorb -> "absorb"
-  | Stream -> "stream"
   | Fold -> "fold"
   | Unknown -> "unknown"
 
 let verdict_char = function
   | Absorb -> 'A'
-  | Stream -> 'S'
   | Fold -> 'F'
   | Unknown -> '?'
 
@@ -323,7 +247,7 @@ let source_string = Commute.source_string
 
 let pp ppf m =
   Format.fprintf ppf
-    "%s: %d op(s) — A absorb / S stream / F fold / ? unknown@." m.m_program
+    "%s: %d op(s) — A absorb / F fold / ? unknown@." m.m_program
     (List.length m.m_cells);
   List.iter
     (fun c ->
@@ -333,8 +257,8 @@ let pp ppf m =
         (verdict_string c.d_verdict)
         (source_string c.d_source)
         c.d_reason;
-      Format.fprintf ppf "      %a; %a; %a@." Mc.pp_law ("absorb", c.d_absorb)
-        Mc.pp_law ("stream", c.d_stream) Mc.pp_law ("definable", c.d_definable))
+      Format.fprintf ppf "      %a; %a@." Mc.pp_law ("absorb", c.d_absorb)
+        Mc.pp_law ("definable", c.d_definable))
     m.m_cells
 
 let to_json m =
@@ -359,7 +283,6 @@ let to_json m =
                    ("checks", Json.Int c.d_checks);
                    ("exhaustive_upto", Json.Int c.d_exhaustive_upto);
                    ("absorb", Mc.law_to_json c.d_absorb);
-                   ("stream", Mc.law_to_json c.d_stream);
                    ("definable", Mc.law_to_json c.d_definable);
                    ("reason", Json.Str c.d_reason);
                  ])

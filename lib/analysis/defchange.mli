@@ -1,35 +1,30 @@
 (** Definable-change analysis: statically verified batch update plans.
 
     Classifies, per (program, update op), which whole-batch evaluation
-    strategies {!Dynfo.Runner.step_batch} may use for a same-op group
-    of a coalesced tick:
+    strategy {!Dynfo.Runner.step_batch} may use for a same-op group of a
+    coalesced tick:
 
     - [Absorb] — apply the input changes and skip the update block
       ({!Dynfo.Runner.absorb_group}): default maintenance for the whole
       group;
-    - [Stream] — fold the members under one
-      {!Dynfo_logic.Delta_eval} batch scope, so the group accumulates a
-      single dirty mask instead of clearing and rebuilding one per
-      member;
-    - [Fold] — no verified law: the unchanged singleton fold;
+    - [Fold] — no verified law: the unchanged singleton fold, each
+      member evaluating its own frontier;
     - [Unknown] — nothing checked (e.g. [--mc-size 0]); always treated
       as unsafe, i.e. exactly like [Fold], and rejected by [--strict].
 
-    Three evidence layers, in the PR-4 verified-rewrite discipline:
-    static layers (1, syntactic: no rule reads the written symbol, so
-    members cannot observe each other; 2, frame-based: every rule
-    carries a slab frame from its {!Support} plan) only {e nominate} —
-    layer 3, the bounded model checker {!Mc}, is the only thing that
-    grants a verdict. It runs the exploited code paths themselves
-    ([absorb_group] and [step_batch ~defchange] with the verdict
-    forced) against the singleton-sequence fold over batches of 1–3
-    members — exhaustive over synthetic structures while the budget
-    lasts, seeded sampling beyond, reachable-state fallback — and
-    additionally checks the FO-definable set-change forms
-    ([insdef]/[deldef] whose formula denotes exactly the member tuples)
-    against their explicit expansion. [Absorb] skips the update block
-    outright, so it needs the synthetic confirmation: an absorb law
-    that held on reachable states only yields [Stream] at best. *)
+    In the PR-4 verified-rewrite discipline, static evidence (no update
+    block, or an empty one) only {e nominates}; the bounded model
+    checker {!Mc} is the only thing that grants a verdict. It runs the
+    exploited code paths themselves ([absorb_group] and
+    [step_batch ~defchange] with the verdict forced) against the
+    singleton-sequence fold over batches of 1–3 members — exhaustive
+    over synthetic structures while the budget lasts, seeded sampling
+    beyond, reachable-state fallback — and additionally checks the
+    FO-definable set-change forms ([insdef]/[deldef] whose formula
+    denotes exactly the member tuples) against their explicit
+    expansion. [Absorb] skips the update block outright, so it needs
+    the synthetic confirmation: an absorb law that held on reachable
+    states only yields [Fold]. *)
 
 open Dynfo
 
@@ -42,18 +37,17 @@ val ops_of : Program.t -> Commute.op list
 
 type source = Commute.source = Syntactic | Frames | Mc_only
 
-type verdict = Absorb | Stream | Fold | Unknown
+type verdict = Absorb | Fold | Unknown
 
 type cell = {
   d_op : Commute.op;
   d_verdict : verdict;
   d_source : source;
   d_domain : Mc.domain option;
-      (** the granting law's domain; [Some] exactly on [Absorb]/[Stream] *)
-  d_checks : int;  (** model-checker combinations across all three laws *)
+      (** the granting law's domain; [Some] exactly on [Absorb] *)
+  d_checks : int;  (** model-checker combinations across both laws *)
   d_exhaustive_upto : int;  (** granting law's exhaustive size bound *)
   d_absorb : Mc.law;  (** group ≡ input-only application *)
-  d_stream : Mc.law;  (** group ≡ fold under one delta batch scope *)
   d_definable : Mc.law;
       (** [insdef]/[deldef] ≡ explicit expansion; trivial (0 checks)
           for [set] ops, which have no set form *)
@@ -86,8 +80,8 @@ val verdict : matrix -> [ `Ins | `Del | `Set ] -> string -> verdict
 val oracle_of :
   Program.t -> [ `Ins | `Del | `Set ] -> string -> Runner.defchange_verdict
 (** The per-op verdict mapped onto the runner's exploitation:
-    [Absorb]/[Stream] pass through, [Fold] and [Unknown] both answer
-    [`Fold] — unverified means unsafe. *)
+    [Absorb] passes through, [Fold] and [Unknown] both answer [`Fold] —
+    unverified means unsafe. *)
 
 val install : unit -> unit
 (** [Runner.set_defchange_oracle oracle_of] — after this every
@@ -102,4 +96,4 @@ val to_json : matrix -> Json.t
 (** One JSON object per program:
     [{"version": …, "program": …, "cells": [{"op", "arity", "verdict",
     "source", "domain", "checks", "exhaustive_upto", "absorb",
-    "stream", "definable", "reason"}]}]. *)
+    "definable", "reason"}]}]. *)

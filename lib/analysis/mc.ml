@@ -134,7 +134,7 @@ let synthetic ~seed ~draws ?(pre = always) ~max_size ~budget ~samples
 (* The lock is held across [f], so concurrent first lookups of one key
    compute it once; the serving layer warms these at session creation. *)
 let memo same f =
-  let limit = 32 in
+  let limit = 64 in
   let cache = ref [] and lock = Mutex.create () in
   fun key ->
     Mutex.protect lock (fun () ->

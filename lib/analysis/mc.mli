@@ -52,7 +52,7 @@ val reachable : max_size:int -> Program.t -> (int * Structure.t) list
     [max_size]): a repeated lookup returns the same list. *)
 
 val memo : ('k -> 'k -> bool) -> ('k -> 'v) -> 'k -> 'v
-(** [memo same f] caches [f] on its 32 latest keys ([same] is key
+(** [memo same f] caches [f] on its 64 latest keys ([same] is key
     equality). The lock is held while [f] runs, so concurrent first
     lookups compute once; [f] must not re-enter the same memo. *)
 

@@ -6,7 +6,7 @@ type t = {
   advice : Advisor.advice;
 }
 
-let version = 4
+let version = 5
 
 let of_program p =
   {

@@ -243,27 +243,14 @@ let plan_program ?(fallback = `Tuple) (p : Program.t) : D.program_plan =
 
 (* Memoized by physical identity of the program (names are not unique:
    the optimizer emits same-named variants), keyed also on the fallback.
-   The cache is bounded; planning is cheap enough that eviction only
-   costs a re-plan. *)
-let cache : (Program.t * [ `Tuple | `Bulk ] * D.program_plan) list ref =
-  ref []
+   One plan record per key matters: the delta backend keys its frontier
+   state on the plan's physical identity. *)
+let plan_memo =
+  Mc.memo
+    (fun (p, fb) (q, fb') -> p == q && fb = fb')
+    (fun (p, fallback) -> plan_program ~fallback p)
 
-let cache_limit = 64
-
-let plan ?(fallback = `Tuple) (p : Program.t) =
-  match
-    List.find_opt (fun (q, fb, _) -> q == p && fb = fallback) !cache
-  with
-  | Some (_, _, pl) -> pl
-  | None ->
-      let pl = plan_program ~fallback p in
-      let trimmed =
-        if List.length !cache >= cache_limit then
-          List.filteri (fun i _ -> i < cache_limit - 1) !cache
-        else !cache
-      in
-      cache := (p, fallback, pl) :: trimmed;
-      pl
+let plan ?(fallback = `Tuple) (p : Program.t) = plan_memo (p, fallback)
 
 (* --- classification and reporting ----------------------------------------- *)
 

@@ -84,15 +84,11 @@ let commute_oracle p = !commute_oracle_ref p
    - [`Absorb]: apply the input changes only, skip the update block —
      licensed by a model-checked law that the block leaves nothing else
      to maintain for this op (e.g. ops with no update block at all);
-   - [`Stream]: fold the members under one [Delta_eval] batch scope, so
-     the delta backend accumulates a single dirty mask for the group
-     instead of clearing and rebuilding per member — sound
-     unconditionally (superset frontiers re-test with the full body),
-     and model-checked against the singleton fold anyway;
    - [`Fold]: no verified law — the existing singleton fold, bit for
-     bit. The default oracle answers [`Fold] for everything;
+     bit, each member evaluating its own frontier. The default oracle
+     answers [`Fold] for everything;
      [Dynfo_analysis.Defchange.install] swaps in the verified matrix. *)
-type defchange_verdict = [ `Absorb | `Stream | `Fold ]
+type defchange_verdict = [ `Absorb | `Fold ]
 
 let defchange_oracle_ref :
     (Program.t -> [ `Ins | `Del | `Set ] -> string -> defchange_verdict) ref =
@@ -133,7 +129,7 @@ let full_rules_define s ~work backend st ~env rules =
    validated against the actual rule (vars + body) so a stale plan for a
    same-named variant of the program degrades to a full recompute
    instead of misevaluating. *)
-let delta_rules_define ?batch s ~work (plan : Delta_eval.program_plan)
+let delta_rules_define s ~work (plan : Delta_eval.program_plan)
     block st ~env rules =
   let fallback = plan.Delta_eval.pp_fallback in
   List.map
@@ -145,7 +141,7 @@ let delta_rules_define ?batch s ~work (plan : Delta_eval.program_plan)
           when rp.Delta_eval.rp_vars = r.vars
                && Formula.equal rp.Delta_eval.rp_body r.body ->
             Delta_eval.define ~work ~cache:s.cache ~fallback ~pool:s.pool
-              ~cutoff:s.cutoff st ~env ?batch rp
+              ~cutoff:s.cutoff st ~env rp
         | _ -> full_define s ~work fallback st ~vars:r.vars ~env r.body
       in
       (r.target, rel))
@@ -154,13 +150,13 @@ let delta_rules_define ?batch s ~work (plan : Delta_eval.program_plan)
 (* The [rules_define] of one request on a concrete backend, charging
    [work]. Under [`Delta] the request's kind and input relation pick the
    block plan, looked up once here rather than per temporary. *)
-let rules_define ?batch s ~work backend req =
+let rules_define s ~work backend req =
   match backend with
   | (`Tuple | `Bulk) as b -> full_rules_define s ~work b
   | `Delta ->
       let plan = !delta_planner s.program in
       let kind, name = op_key req in
-      delta_rules_define ?batch s ~work plan
+      delta_rules_define s ~work plan
         (Delta_eval.block_for plan kind name)
 
 let apply_update_with ~rules_define st (u : Program.update) (args : int list)
@@ -350,11 +346,10 @@ let absorb_group s group =
 
    With a defchange oracle installed each group is additionally
    evaluated per its verified (kind, relation) verdict: [`Absorb]
-   applies the input changes only ([absorb_group]); [`Stream] folds the
-   group under one [Delta_eval] batch scope so the delta backend
-   accumulates a single dirty mask for the whole group; [`Fold] (and
-   any op the analyzer could not certify) takes the unchanged singleton
-   fold. Set requests ([Request.Ins_set] etc.) are expanded against the
+   applies the input changes only ([absorb_group]); [`Fold] (and any op
+   the analyzer could not certify) takes the unchanged singleton fold,
+   so a tick's work is the work of its requests stepped one by one.
+   Set requests ([Request.Ins_set] etc.) are expanded against the
    tick's pre-state first — the "definable changes" simultaneous
    reading — and their singletons planned like any others. *)
 let step_batch_info ?(work = ref 0) ?(backend = `Tuple) ?oracle ?defchange s
@@ -371,27 +366,14 @@ let step_batch_info ?(work = ref 0) ?(backend = `Tuple) ?oracle ?defchange s
   in
   let reqs = Request.expand_batch ~work s.structure reqs in
   let groups = plan_groups_with oracle.co_swap reqs in
-  (* one batch scope per tick: every [`Stream] group joins it, so rule
-     states shared across groups keep accumulating instead of clearing *)
-  let tick = Delta_eval.new_batch () in
   let step_group (s, info) group =
     let kind, rel = op_key (List.hd group) in
     match verdict kind rel with
     | `Absorb ->
         ( absorb_group s group,
           { info with bi_absorbed = info.bi_absorbed + List.length group } )
-    | (`Stream | `Fold) as v ->
-        let batch =
-          if v = `Stream && backend = `Delta then Some tick else None
-        in
-        let rules_define =
-          rules_define ?batch s ~work backend (List.hd group)
-        in
-        let info =
-          if batch = None then info
-          else
-            { info with bi_streamed = info.bi_streamed + List.length group }
-        in
+    | `Fold ->
+        let rules_define = rules_define s ~work backend (List.hd group) in
         List.fold_left
           (fun (s, info) req ->
             if oracle.co_elidable req && redundant s.structure req then

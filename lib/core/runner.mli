@@ -115,17 +115,14 @@ val commute_oracle : Program.t -> commute_oracle
 (** The installed oracle's verdict set for a program ({!null_oracle}
     until one is installed). *)
 
-type defchange_verdict = [ `Absorb | `Stream | `Fold ]
+type defchange_verdict = [ `Absorb | `Fold ]
 (** How a whole same-op group of a batch may be evaluated in one tick
     (the definable-change analysis's per-(program, op) classification):
     - [`Absorb] — apply the input changes only and skip the update block
       ({!absorb_group}); licensed by a model-checked law that the fold
       of the op's singletons equals exactly that;
-    - [`Stream] — fold the members under one {!Dynfo_logic.Delta_eval}
-      batch scope, accumulating a single dirty mask for the group
-      (sound unconditionally: superset frontiers re-test with the full
-      rule body; model-checked against the fold anyway);
-    - [`Fold] — no verified law: the unchanged singleton fold. *)
+    - [`Fold] — no verified law: the unchanged singleton fold, each
+      member evaluating its own frontier. *)
 
 val set_defchange_oracle :
   (Program.t -> [ `Ins | `Del | `Set ] -> string -> defchange_verdict) -> unit
@@ -219,8 +216,7 @@ val step_batch :
     same-op run — and input-preserving requests of ops with a verified
     no-op law are elided outright. With a defchange oracle installed
     ({!set_defchange_oracle}) each group is evaluated per its verdict:
-    [`Absorb] groups via {!absorb_group}, [`Stream] groups under one
-    {!Dynfo_logic.Delta_eval} batch scope, [`Fold] (and anything
+    [`Absorb] groups via {!absorb_group}, [`Fold] (and anything
     uncertified) via the unchanged singleton fold. All transformations
     preserve the [run] equivalence by the oracles' verified laws.
     [defchange] overrides the installed oracle for this batch (the
@@ -234,8 +230,8 @@ type batch_info = {
   bi_elided : int;  (** requests skipped by the verified no-op law *)
   bi_absorbed : int;  (** requests applied input-only ([`Absorb] groups) *)
   bi_streamed : int;
-      (** requests folded under a shared delta batch scope ([`Stream]
-          groups on the delta backend) *)
+      (** always 0: every group absorbs or folds member by member. Kept
+          because the serving benchmark's replay reads it. *)
 }
 
 val step_batch_full :

@@ -357,15 +357,6 @@ type slab_state = {
   mutable ss_anchor : anchor_cache option;
 }
 
-(* A batch scope: requests evaluated under the same token accumulate one
-   shared dirty mask per rule state instead of clearing and rebuilding it
-   per member. Tokens are compared by physical identity and never reused,
-   so a stale token left on a state can only ever match its own (dead)
-   batch — no coordination is needed beyond the cache's lock. *)
-type batch = unit ref
-
-let new_batch () : batch = ref ()
-
 type state = {
   s_plan : rule_plan;
   s_size : int;
@@ -376,7 +367,6 @@ type state = {
   s_legacy_fast : bool;  (* both sides fully pinned and anchorless *)
   mutable s_mask : Bitrel.t option;  (* zero outside [s_dirty] *)
   mutable s_dirty : int list;  (* exactly the mask's non-zero words *)
-  mutable s_batch : batch option;  (* scope of the words in [s_dirty] *)
 }
 
 type cache = { c_lock : Mutex.t; mutable c_states : state list }
@@ -443,7 +433,6 @@ let find_state cache st ~env (plan : rule_plan) =
           s_legacy_fast = fully_pinned ~arity f_out && fully_pinned ~arity f_in;
           s_mask = None;
           s_dirty = [];
-          s_batch = None;
         }
       in
       (* one entry per plan: a state of another universe size is dropped *)
@@ -584,7 +573,7 @@ let emit_cylinder ~size ~arity pins f =
 (* The stateful frontier: identical emissions and budget decisions to
    the stateless [frontier] (the qcheck equivalence law holds them to
    each other), with the fixed costs amortised across steps. *)
-let frontier_state ~work (s : state) ?batch st ~env ~base : frontier =
+let frontier_state ~work (s : state) st ~env ~base : frontier =
   match s.s_plan.rp_frame with
   | None -> `Full
   | Some _ -> (
@@ -666,28 +655,13 @@ let frontier_state ~work (s : state) ?batch st ~env ~base : frontier =
                       s.s_mask <- Some m;
                       m
                 in
-                (* Same batch scope as the previous call on this state?
-                   Then keep the accumulated words: the returned frontier
-                   is a superset of this member's own (every frontier
-                   tuple is re-tested with the full rule body, so
-                   sweeping extra words recomputes their correct value —
-                   over-approximation is unconditionally sound), and the
-                   batch pays one clear instead of one per member. *)
-                let joining =
-                  match (batch, s.s_batch) with
-                  | Some b, Some b' -> b == b'
-                  | _ -> false
-                in
-                s.s_batch <- batch;
-                if not joining then begin
-                  (* clear only the words touched last step — bookkeeping
-                     below the work model's resolution (work must not
-                     depend on what the previous step left behind) *)
-                  let cleared = List.length s.s_dirty in
-                  Bitrel.clear_words mask s.s_dirty;
-                  ignore (Atomic.fetch_and_add words_cleared_c cleared);
-                  s.s_dirty <- []
-                end;
+                (* clear only the words touched last step — bookkeeping
+                   below the work model's resolution (work must not
+                   depend on what the previous step left behind) *)
+                let cleared = List.length s.s_dirty in
+                Bitrel.clear_words mask s.s_dirty;
+                ignore (Atomic.fetch_and_add words_cleared_c cleared);
+                s.s_dirty <- [];
                 (* [set_slab] records a word range before filling it, and
                    every recorded word gets a bit: a word is already in
                    [s_dirty] exactly when it is non-zero *)
@@ -717,11 +691,11 @@ let frontier_state ~work (s : state) ?batch st ~env ~base : frontier =
    delta path surfaces the same compile-time errors (unknown relations,
    arity mismatches, unbound variables) as a full evaluation, even when
    the frontier turns out to be empty. *)
-let with_state ~cache ~work st ~env ?batch (plan : rule_plan) f =
+let with_state ~cache ~work st ~env (plan : rule_plan) f =
   Mutex.protect cache.c_lock (fun () ->
       let s = find_state cache st ~env plan in
       let base = Structure.rel st plan.rp_target in
-      f s ~base (frontier_state ~work s ?batch st ~env ~base))
+      f s ~base (frontier_state ~work s st ~env ~base))
 
 let with_frontier ~cache st ?(env = []) plan f =
   with_state ~cache ~work:(ref 0) st ~env plan (fun _ ~base:_ fr -> f fr)
@@ -815,7 +789,7 @@ let splice ~work ~pool ~cutoff st ~env (s : state) ~base
     !out flips
 
 let define ?(work = ref 0) ~cache ?(fallback = `Tuple) ?(pool = Pool.inline)
-    ?(cutoff = Pool.default_cutoff) st ?(env = []) ?batch (plan : rule_plan) =
+    ?(cutoff = Pool.default_cutoff) st ?(env = []) (plan : rule_plan) =
   let full () =
     match fallback with
     | `Tuple ->
@@ -828,7 +802,7 @@ let define ?(work = ref 0) ~cache ?(fallback = `Tuple) ?(pool = Pool.inline)
   match plan.rp_frame with
   | None -> full ()
   | Some _ ->
-      with_state ~cache ~work st ~env ?batch plan (fun s ~base fr ->
+      with_state ~cache ~work st ~env plan (fun s ~base fr ->
           match fr with
           | `Full -> full ()
           | (`Tuples _ | `Mask _ | `Mask_words _) as fr ->

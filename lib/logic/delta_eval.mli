@@ -172,27 +172,6 @@ val frontier :
     {!with_frontier} equal to this one, step by step. Guard tests,
     anchor scans and mask fills are charged to [work]. *)
 
-(** {1 Batch scopes}
-
-    A {!batch} token delimits one [Runner.step_batch] tick: rule
-    evaluations passed the same token {e accumulate} the persistent
-    dirty mask across the batch's members — one clear per batch instead
-    of one per member — and each member's [`Mask_words] frontier is the
-    union of every member's so far. The over-approximation is
-    unconditionally sound: every frontier tuple is re-tested with the
-    full rule body, so sweeping a superset recomputes the same values
-    (the Defchange analysis model-checks the equivalence per program
-    anyway). Tokens are compared physically and never reused; interleaved
-    evaluations under a different (or no) token simply fall back to the
-    per-step clear, so forks of one runner sharing a rule state stay
-    correct — they only lose the amortisation. *)
-
-type batch
-
-val new_batch : unit -> batch
-(** A fresh batch scope. Create one per tick, pass it to every rule
-    evaluation of the tick, drop it. *)
-
 (** {1 Frontier state} *)
 
 type cache
@@ -268,7 +247,6 @@ val define :
   ?cutoff:int ->
   Structure.t ->
   ?env:(string * int) list ->
-  ?batch:batch ->
   rule_plan ->
   Relation.t
 (** Evaluate one rule: build its frontier in [cache] (as in
@@ -289,9 +267,9 @@ val define :
     own, added into [work] after the job with the frontier's own charges
     (guards, anchors, mask words), so the work is the same on any pool.
     [`Tuples] frontiers and frontiers below [cutoff] tuples
-    (default {!Dynfo_engine.Pool.default_cutoff}) never fan out. [batch]
-    opens/joins a batch scope (see above); without it every call clears
-    the previous step's words.
+    (default {!Dynfo_engine.Pool.default_cutoff}) never fan out. Every
+    call clears the mask words its rule's previous step dirtied, so a
+    step's frontier is its own.
 
     Compile-time errors of the body (unknown relation, arity, unbound
     variable) are raised exactly as a full evaluation would raise them,

@@ -211,7 +211,6 @@ let dispatch t (cmd : Wire.cmd) : (string * Json.t) list =
         ("groups", Json.Int st.st_groups);
         ("elided", Json.Int st.st_elided);
         ("absorbed", Json.Int st.st_absorbed);
-        ("streamed", Json.Int st.st_streamed);
         ("deduped", Json.Int st.st_deduped);
         ("hoisted", Json.Int st.st_hoisted);
         (* counters of the whole process, earned by every session and by

@@ -39,7 +39,6 @@ type stats = {
   st_groups : int;  (** commute-planner groups across all ticks *)
   st_elided : int;  (** requests skipped by the verified no-op law *)
   st_absorbed : int;  (** requests applied input-only (Defchange [`Absorb]) *)
-  st_streamed : int;  (** requests folded under one delta batch scope *)
   st_deduped : int;  (** identical back-to-back requests collapsed *)
   st_hoisted : int;  (** update jobs that overtook pending queries *)
 }
@@ -71,7 +70,6 @@ type t = {
   mutable groups : int;
   mutable elided : int;
   mutable absorbed : int;
-  mutable streamed : int;
   mutable deduped : int;
   mutable hoisted : int;
   mutable worker : Thread.t option;
@@ -100,7 +98,6 @@ let stats t =
         st_groups = t.groups;
         st_elided = t.elided;
         st_absorbed = t.absorbed;
-        st_streamed = t.streamed;
         st_deduped = t.deduped;
         st_hoisted = t.hoisted;
       })
@@ -169,7 +166,6 @@ let process_updates t updates =
               t.groups <- t.groups + info.Runner.bi_groups;
               t.elided <- t.elided + info.Runner.bi_elided;
               t.absorbed <- t.absorbed + info.Runner.bi_absorbed;
-              t.streamed <- t.streamed + info.Runner.bi_streamed;
               t.deduped <- t.deduped + dropped);
           List.iter
             (fun (reqs, reply) -> reply (Ok (List.length reqs, w)))
@@ -308,7 +304,6 @@ let make ~id ~name ?pool ~backend ~coalesce state =
       groups = 0;
       elided = 0;
       absorbed = 0;
-      streamed = 0;
       deduped = 0;
       hoisted = 0;
       worker = None;

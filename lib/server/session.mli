@@ -43,9 +43,6 @@ type stats = {
   st_absorbed : int;
       (** requests applied input-only — whole groups absorbed in one
           tick under a Defchange [`Absorb] verdict *)
-  st_streamed : int;
-      (** requests folded under one delta batch scope (Defchange
-          [`Stream] groups on the delta backend) *)
   st_deduped : int;  (** identical back-to-back requests collapsed *)
   st_hoisted : int;  (** update jobs that overtook pending queries *)
 }

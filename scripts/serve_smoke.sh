@@ -155,7 +155,7 @@ echo "$RESP" | sed -n 's/.*"id":12[^}]*"result":\(true\|false\).*/\1/p' \
 # Batch absorption over the wire: reach_u has no on_set block, so the
 # definable-change analysis certifies `Absorb for set s/t — a 2-request
 # wire batch must land input-only in exactly one evaluation tick; the
-# ins* batch then streams its 3 edges under one delta scope.
+# ins* batch then lands its 3 edges in one more tick.
 RESP=$("$DYNFO" client --socket "$SOCK" <<EOF
 {"id":20,"op":"create","session":"abs","program":"reach_u","size":8,"backend":"delta"}
 {"id":21,"op":"stats","session":"abs"}
@@ -198,8 +198,8 @@ echo "$RESP" | grep '"id":23' | grep -q '"absorbed":2' || {
   echo "serve_smoke: set batch was not absorbed input-only" >&2
   exit 1
 }
-echo "$RESP" | grep '"id":26' | grep -q '"streamed":3' || {
-  echo "serve_smoke: ins* batch did not stream under one delta scope" >&2
+echo "$RESP" | grep '"id":26' | grep -q '"ticks":2' || {
+  echo "serve_smoke: ins* batch did not land in a single tick" >&2
   exit 1
 }
 echo "$RESP" | sed -n 's/.*"id":25[^}]*"result":\(true\|false\).*/\1/p' \

@@ -38,7 +38,7 @@ let test_matrix_confirmed () =
       List.iter
         (fun (c : D.cell) ->
           match c.D.d_verdict with
-          | D.Absorb | D.Stream ->
+          | D.Absorb ->
               check tb
                 (Printf.sprintf "%s: %s verdict confirmed" name
                    (D.op_name c.D.d_op))
@@ -46,7 +46,7 @@ let test_matrix_confirmed () =
                 (c.D.d_checks > 0 && c.D.d_domain <> None)
           | D.Fold ->
               check tb
-                (Printf.sprintf "%s: %s fold carries a refutation" name
+                (Printf.sprintf "%s: %s fold was model-checked" name
                    (D.op_name c.D.d_op))
                 true (c.D.d_checks > 0)
           | D.Unknown -> ())
@@ -56,9 +56,9 @@ let test_matrix_confirmed () =
 let test_known_verdicts () =
   let m = D.matrix_of (find "parity") in
   (* the b-rule reads M(a): members observe each other, absorb is
-     refuted — but the group still streams under one delta scope *)
-  check tb "parity ins M streams" true (D.verdict m `Ins "M" = D.Stream);
-  check tb "parity del M streams" true (D.verdict m `Del "M" = D.Stream);
+     refuted and the group folds *)
+  check tb "parity ins M folds" true (D.verdict m `Ins "M" = D.Fold);
+  check tb "parity del M folds" true (D.verdict m `Del "M" = D.Fold);
   (match D.find_cell m `Ins "M" with
   | Some c ->
       check tb "parity ins M absorb law refuted" true
@@ -67,23 +67,23 @@ let test_known_verdicts () =
         (c.D.d_definable.Mc.law_holds && c.D.d_definable.Mc.law_checks > 0)
   | None -> Alcotest.fail "parity ins M cell missing");
   let mr = D.matrix_of (find "reach_u") in
-  check tb "reach_u ins E streams" true (D.verdict mr `Ins "E" = D.Stream);
+  check tb "reach_u ins E folds" true (D.verdict mr `Ins "E" = D.Fold);
   (* no on_set block: whole set-groups absorb as default maintenance *)
   check tb "reach_u set s absorbs" true (D.verdict mr `Set "s" = D.Absorb);
   check tb "reach_u set t absorbs" true (D.verdict mr `Set "t" = D.Absorb);
   (* absorb held on reachable states only: too weak to skip the block
      (pad_reach_a's Up groups diverge from the fold at n = 6), so these
-     cells fall to the synthetic-confirmed stream law *)
+     cells fall to the fold *)
   let mp = D.matrix_of (find "pad_reach_a") in
-  check tb "pad_reach_a ins Up streams" true (D.verdict mp `Ins "Up" = D.Stream);
-  check tb "pad_reach_a del Up streams" true (D.verdict mp `Del "Up" = D.Stream);
-  check tb "regular del A1 streams" true
-    (D.verdict (D.matrix_of (find "regular")) `Del "A1" = D.Stream);
+  check tb "pad_reach_a ins Up folds" true (D.verdict mp `Ins "Up" = D.Fold);
+  check tb "pad_reach_a del Up folds" true (D.verdict mp `Del "Up" = D.Fold);
+  check tb "regular del A1 folds" true
+    (D.verdict (D.matrix_of (find "regular")) `Del "A1" = D.Fold);
   (* the installed oracle answers what the matrix verified *)
   check tb "oracle: reach_u set s -> `Absorb" true
     (D.oracle_of (find "reach_u") `Set "s" = `Absorb);
-  check tb "oracle: parity ins M -> `Stream" true
-    (D.oracle_of (find "parity") `Ins "M" = `Stream)
+  check tb "oracle: parity ins M -> `Fold" true
+    (D.oracle_of (find "parity") `Ins "M" = `Fold)
 
 let test_mc_size_zero_is_unknown () =
   let m = D.analyze ~max_size:0 (find "parity") in

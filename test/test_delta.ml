@@ -851,6 +851,48 @@ let test_two_domains_work_alone () =
     (fun a b -> check (Alcotest.list ti) "per-step work equals solo" a b)
     solo together
 
+(* A tick folds its members one by one, each evaluating its own
+   frontier: with the installed Defchange oracle and no commute planning,
+   one delta tick of k singleton [ins E] requests charges exactly the
+   work of stepping them one at a time, and lands on the same relations.
+   The inputs reach the persistent dirty mask (frontiers of more than 32
+   codes), where a shared frontier would re-test earlier members' words. *)
+let test_tick_work_equals_fold () =
+  Dynfo_analysis.Advisor.install ();
+  Dynfo_analysis.Defchange.install ();
+  Fun.protect ~finally:(fun () ->
+      Runner.set_defchange_oracle (fun _ _ _ -> `Fold))
+  @@ fun () ->
+  List.iter
+    (fun (name, size, k) ->
+      let e = Registry.find name in
+      let arity =
+        match Vocab.relations e.program.input_vocab with
+        | (s : Vocab.sym) :: _ -> s.arity
+        | [] -> assert false
+      in
+      let rng = Random.State.make [| 30; size; k |] in
+      let reqs =
+        List.init k (fun _ ->
+            Request.ins "E"
+              (List.init arity (fun _ -> Random.State.int rng size)))
+      in
+      let what = Printf.sprintf "%s n=%d k=%d" name size k in
+      let mask0 = Delta_eval.mask_builds () + Delta_eval.mask_reuse_hits () in
+      let tick, w, _ =
+        Runner.step_batch_full ~backend:`Delta ~oracle:Runner.null_oracle
+          (Runner.init e.program ~size) reqs
+      in
+      check tb (what ^ ": reaches the persistent mask") true
+        (Delta_eval.mask_builds () + Delta_eval.mask_reuse_hits () > mask0);
+      let fold, ws =
+        Runner.run_work ~backend:`Delta (Runner.init e.program ~size) reqs
+      in
+      check ti (what ^ ": tick work = fold work") (List.fold_left ( + ) 0 ws) w;
+      check tb (what ^ ": same relations") true
+        (Structure.equal (Runner.structure fold) (Runner.structure tick)))
+    [ ("semi_reach", 128, 16); ("semi_reach", 128, 64); ("msf", 7, 8) ]
+
 let () =
   Alcotest.run "delta"
     [
@@ -902,6 +944,8 @@ let () =
             test_tick_work_excludes_callbacks;
           Alcotest.test_case "two domains: each step's work is its own"
             `Quick test_two_domains_work_alone;
+          Alcotest.test_case "a delta tick's work equals the fold's" `Quick
+            test_tick_work_equals_fold;
         ] );
       ( "support",
         [ Alcotest.test_case "showcase frames" `Quick test_support_reports ] );

@@ -452,7 +452,7 @@ let test_session_dedupe () =
 (* A [`Par] session runs the very same batch pipeline as a [`Seq] one:
    the same answers and the same planning statistics, in both drain
    modes — including elision of verified no-ops, [`Fifo]'s null oracle
-   and the defchange [`Stream] verdicts. *)
+   and the defchange verdicts. *)
 let test_session_par_matches_seq () =
   Dynfo_analysis.Advisor.install ();
   Dynfo_analysis.Commute.install ();
@@ -495,7 +495,7 @@ let test_session_par_matches_seq () =
             par_answers;
           check tb (mode ^ ": structures") true (Structure.equal seq_st par_st);
           check tb (mode ^ ": the tick was planned") true
-            (seq.Session.st_groups > 0 && seq.Session.st_streamed > 0);
+            (seq.Session.st_groups > 0);
           List.iter
             (fun (what, f) ->
               check ti (Printf.sprintf "%s: %s" mode what) (f seq) (f par))
@@ -503,7 +503,6 @@ let test_session_par_matches_seq () =
               ("groups", fun st -> st.Session.st_groups);
               ("elided", fun st -> st.Session.st_elided);
               ("absorbed", fun st -> st.Session.st_absorbed);
-              ("streamed", fun st -> st.Session.st_streamed);
               ("deduped", fun st -> st.Session.st_deduped);
             ])
         [ ("commute", `Commute); ("fifo", `Fifo) ])
